@@ -8,15 +8,10 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from eegtd.core import ClassId, DynamicsKind, Epoch, EventSchedule, Recording
-from eegtd.dataset import assign_labels
-from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta
-from eegtd.model import (
-    HierarchicalModel,
-    _backward_batch,
-    _standardize_batch,
-    predict_batch,
-)
+from eegtd.core import ClassId, DynamicsKind, Epoch, EventSchedule, LabelTrack, Recording
+from eegtd.dataset import assign_labels, free_window_starts
+from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta, window_confusion
+from eegtd.model import HierarchicalModel, _backward_batch, predict_batch, stack_epochs
 
 CLASS_NAMES = {
     int(ClassId.NON_TARGET): "NonTarget",
@@ -24,6 +19,8 @@ CLASS_NAMES = {
     int(ClassId.ERROR_TARGET): "ErrorTarget",
 }
 ROTATION_CLASS = "CameraRotation"
+# Windows per input-gradient backward pass in gradient_saliency.
+GRADIENT_CHUNK = 128
 
 
 @dataclass
@@ -66,7 +63,6 @@ def grand_average_erp(
     horizon_s: float = 3.0,
     baseline_s: float = 0.2,
     seed: int = 0,
-    n_nontarget: int | None = None,
 ) -> ErpAverages:
     """Per-class grand averages over the requested channels.
 
@@ -94,19 +90,12 @@ def grand_average_erp(
 
     # Seeded pseudo-trials for the non-target baseline class.
     labels = assign_labels(schedule).labels
-    occupied = (labels != 0).astype(np.int64)
-    csum = np.concatenate(([0], np.cumsum(occupied)))
-    span = n_baseline + n_horizon
-    if schedule.total_samples > span:
-        hits = csum[span:] - csum[:-span]
-        candidates = np.flatnonzero(hits == 0) + n_baseline
-        candidates = candidates[candidates + n_horizon <= schedule.total_samples]
-        if candidates.size:
-            count = n_nontarget or max(len(schedule.targets), 1)
-            count = min(count, candidates.size)
-            rng = np.random.default_rng(seed)
-            picks = rng.choice(candidates, size=count, replace=False)
-            onsets_by_class[CLASS_NAMES[0]] = [int(v) for v in np.sort(picks)]
+    candidates = free_window_starts(labels, n_baseline + n_horizon) + n_baseline
+    if candidates.size:
+        count = min(max(len(schedule.targets), 1), candidates.size)
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(candidates, size=count, replace=False)
+        onsets_by_class[CLASS_NAMES[0]] = [int(v) for v in np.sort(picks)]
 
     result = ErpAverages(
         times_s=np.arange(n_horizon) / rec.sampling_rate,
@@ -135,19 +124,21 @@ class ChannelSaliency:
     importance: np.ndarray  # (n_channels,) baseline minus ablated score
 
 
+def _score_windows(
+    model: HierarchicalModel, x: np.ndarray, y: np.ndarray, cfg: MetricConfig
+) -> tuple[float, ConfusionMatrix]:
+    """Window-level macro F_beta and confusion of one prediction pass."""
+    predicted, _ = predict_batch(model, x)
+    cm = window_confusion(LabelTrack(y), LabelTrack(predicted))
+    return macro_f_beta(cm, cfg), cm
+
+
 def evaluate_epochs(
     model: HierarchicalModel, epochs: list[Epoch], cfg: MetricConfig
 ) -> tuple[float, ConfusionMatrix]:
     """Window-level macro F_beta of the model over a labeled epoch set."""
-    if not epochs:
-        raise ValueError("empty evaluation set")
-    x = _standardize_batch(np.stack([ep.data for ep in epochs]).astype(np.float64))
-    y = np.array([int(ep.label) for ep in epochs])
-    predicted, _ = predict_batch(model, x)
-    cm = ConfusionMatrix()
-    for t, p in zip(y, predicted):
-        cm.add(t, p)
-    return macro_f_beta(cm, cfg), cm
+    x, y = stack_epochs(epochs)
+    return _score_windows(model, x, y, cfg)
 
 
 def occlusion_saliency(
@@ -155,43 +146,25 @@ def occlusion_saliency(
 ) -> ChannelSaliency:
     """Importance per channel: macro F_beta drop when that channel is zeroed
     after standardization (zero = the channel's uninformative mean)."""
-    if not eval_epochs:
-        raise ValueError("empty evaluation set")
-    x = _standardize_batch(
-        np.stack([ep.data for ep in eval_epochs]).astype(np.float64)
-    )
-    y = np.array([int(ep.label) for ep in eval_epochs])
-
-    def score(batch: np.ndarray) -> float:
-        predicted, _ = predict_batch(model, batch)
-        cm = ConfusionMatrix()
-        for t, p in zip(y, predicted):
-            cm.add(t, p)
-        return macro_f_beta(cm, cfg)
-
-    baseline = score(x)
+    x, y = stack_epochs(eval_epochs)
+    baseline, _ = _score_windows(model, x, y, cfg)
     n_channels = x.shape[1]
     importance = np.zeros(n_channels)
     for c in range(n_channels):
         ablated = x.copy()
         ablated[:, c, :] = 0.0
-        importance[c] = baseline - score(ablated)
+        importance[c] = baseline - _score_windows(model, ablated, y, cfg)[0]
     return ChannelSaliency(baseline, importance)
 
 
 def gradient_saliency(
-    model: HierarchicalModel, eval_epochs: list[Epoch], chunk: int = 128
+    model: HierarchicalModel, eval_epochs: list[Epoch]
 ) -> np.ndarray:
     """Mean absolute input gradient of the loss per channel, dropout disabled."""
-    if not eval_epochs:
-        raise ValueError("empty evaluation set")
-    x = _standardize_batch(
-        np.stack([ep.data for ep in eval_epochs]).astype(np.float64)
-    )
-    y = np.array([int(ep.label) for ep in eval_epochs])
+    x, y = stack_epochs(eval_epochs)
     total = np.zeros(x.shape[1])
-    for lo in range(0, x.shape[0], chunk):
-        hi = min(lo + chunk, x.shape[0])
+    for lo in range(0, x.shape[0], GRADIENT_CHUNK):
+        hi = min(lo + GRADIENT_CHUNK, x.shape[0])
         # _backward_batch averages over the batch, so rescale with the size.
         _, _, dx = _backward_batch(
             model, x[lo:hi], y[lo:hi], need_input_grad=True

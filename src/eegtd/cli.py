@@ -91,7 +91,6 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, args: list[str]) -> 
     for sub_action in parser._subparsers._group_actions if parser._subparsers else []:
         for sub in sub_action.choices.values():
             known |= {action.dest for action in sub._actions}
-            unknown = set(values) - known
             sub.set_defaults(**{k: v for k, v in values.items() if k in known})
     unknown = set(values) - known
     if unknown:
@@ -245,8 +244,7 @@ def cmd_evaluate(args) -> int:
     with open(args.detections, "r", encoding="utf-8") as fh:
         detections = read_detections_csv(fh)
     schedule = load_schedule(args.schedule)
-    form = FBetaForm.LITERAL if args.fbeta_form == "literal" else FBetaForm.RECALL_WEIGHTED
-    cfg = MetricConfig(beta=float(args.beta), form=form)
+    cfg = MetricConfig(beta=float(args.beta), form=FBetaForm(args.fbeta_form))
     cm, _ = match_detections(detections, schedule, tolerance=int(args.tolerance))
     for c in range(3):
         precision, recall = precision_recall(cm, c)
@@ -292,8 +290,7 @@ def cmd_analyze_saliency(args) -> int:
     epochs = build_eval_dataset(
         recording, schedule, cfg, child_seed(int(args.seed), "saliency-eval")
     )
-    form = FBetaForm.LITERAL if args.fbeta_form == "literal" else FBetaForm.RECALL_WEIGHTED
-    metric = MetricConfig(beta=float(args.beta), form=form)
+    metric = MetricConfig(beta=float(args.beta), form=FBetaForm(args.fbeta_form))
     occ = occlusion_saliency(model, epochs, metric)
     grad = gradient_saliency(model, epochs)
     with open(args.out, "w", newline="") as fh:

@@ -1,6 +1,5 @@
 """Labeled training data from a recording plus schedule: label assignment,
-minority-class sliding-window augmentation, seeded negative sampling, and
-the epoch cache format.
+minority-class sliding-window augmentation, and seeded negative sampling.
 
 Augmentation slides the window forward from each event onset in `stride`
 steps, giving exactly window_len/stride epochs per event (10 with defaults).
@@ -10,20 +9,11 @@ event at its onset.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
-from eegtd.core import (
-    ClassId,
-    Epoch,
-    EventSchedule,
-    FormatError,
-    LabelTrack,
-    Recording,
-)
+from eegtd.core import ClassId, Epoch, EventSchedule, LabelTrack, Recording
 from eegtd.seeding import child_seed
 
 
@@ -93,6 +83,13 @@ def _count_events(labels: np.ndarray) -> int:
     return int(rises.sum())
 
 
+def free_window_starts(labels: np.ndarray, span: int) -> np.ndarray:
+    """Ascending starts s whose samples labels[s : s + span] are all 0."""
+    occupied = (labels != 0).astype(np.int64)
+    csum = np.concatenate(([0], np.cumsum(occupied)))
+    return np.flatnonzero(csum[span:] - csum[:-span] == 0)
+
+
 def sample_nontarget(
     rec: Recording,
     track: LabelTrack,
@@ -115,10 +112,7 @@ def sample_nontarget(
     w = cfg.window_len
     if rec.n_samples < w:
         raise DatasetError("recording shorter than one window")
-    occupied = (labels != 0).astype(np.int64)
-    csum = np.concatenate(([0], np.cumsum(occupied)))
-    window_hits = csum[w:] - csum[:-w]
-    candidates = np.flatnonzero(window_hits == 0)
+    candidates = free_window_starts(labels, w)
     if candidates.size == 0:
         raise DatasetError("no all-non-target window available")
     if quota > candidates.size:
@@ -165,36 +159,4 @@ def build_eval_dataset(
         rec, track, cfg, child_seed(seed, "eval-nontarget"),
         n_events=len(schedule.targets),
     )
-    return epochs
-
-
-def write_epochs(epochs: list[Epoch], destination: BinaryIO) -> int:
-    """Cache format: count u64, then per epoch label u8 + onset u64 + f32 data."""
-    written = destination.write(struct.pack("<Q", len(epochs)))
-    for ep in epochs:
-        written += destination.write(struct.pack("<BQ", int(ep.label), ep.source_onset))
-        written += destination.write(np.ascontiguousarray(ep.data, dtype="<f4").tobytes())
-    return written
-
-
-def read_epochs(source: BinaryIO, n_channels: int, window_len: int) -> list[Epoch]:
-    """Read a cache written by write_epochs; dims come from the caller's config."""
-    raw = source.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated epoch cache header")
-    (count,) = struct.unpack("<Q", raw)
-    block = 4 * n_channels * window_len
-    epochs = []
-    for i in range(count):
-        head = source.read(9)
-        if len(head) != 9:
-            raise FormatError(f"truncated epoch {i} header")
-        label, onset = struct.unpack("<BQ", head)
-        if label > 2:
-            raise FormatError(f"epoch {i}: invalid class code {label}")
-        payload = source.read(block)
-        if len(payload) != block:
-            raise FormatError(f"truncated epoch {i} data block")
-        data = np.frombuffer(payload, dtype="<f4").reshape(n_channels, window_len)
-        epochs.append(Epoch(data.copy(), ClassId(label), onset))
     return epochs

@@ -57,7 +57,6 @@ class ExperimentConfig:
     metric: MetricConfig = MetricConfig()
     stream_speed: float = 16.0
     chunk_ms: float = 40.0
-    match_tolerance: int = 375
 
 
 @dataclass
@@ -145,7 +144,7 @@ def run_detection_experiment(
     with open(detections_path, "w", newline="") as fh:
         write_detections_csv(detections, fh)
 
-    confusion, _ = match_detections(detections, test_schedule, cfg.match_tolerance)
+    confusion, _ = match_detections(detections, test_schedule)
     macro = macro_f_beta(confusion, cfg.metric)
     return ExperimentResult(
         macro_f=macro,

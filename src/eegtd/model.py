@@ -15,6 +15,7 @@ given (seed, data, config).
 from __future__ import annotations
 
 import copy
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import BinaryIO
@@ -28,6 +29,8 @@ from eegtd.seeding import child_seed
 HMDL_MAGIC = b"HMDL"
 HMDL_VERSION = 1
 LOSS_EPS = 1e-12
+# Windows per forward pass in predict_batch; bounds the im2col buffer.
+PREDICT_CHUNK = 256
 
 _loss_clamp_count = 0
 
@@ -110,14 +113,6 @@ def param_shapes(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-_FAN_IN = {
-    "w_time": lambda cfg, shape: shape[1],
-    "w_spat": lambda cfg, shape: shape[1] * shape[2],
-    "w_dense": lambda cfg, shape: shape[0],
-    "w_out": lambda cfg, shape: shape[0],
-}
-
-
 @dataclass
 class StageNet:
     """One binary stage: an ordered dict of named float64 parameter arrays."""
@@ -138,10 +133,9 @@ class StageNet:
             if name.startswith("b_"):
                 params[name] = np.zeros(shape)
             else:
-                if name.startswith("w_conv"):
-                    fan_in = shape[1] * shape[2]
-                else:
-                    fan_in = _FAN_IN[name](cfg, shape)
+                # Dense matrices are stored (in, out), kernels (out, in, ...).
+                dense = name in ("w_dense", "w_out")
+                fan_in = shape[0] if dense else math.prod(shape[1:])
                 s = 0.5 * np.sqrt(1.0 / fan_in)
                 params[name] = rng.uniform(-s, s, size=shape)
         return cls(params)
@@ -192,6 +186,15 @@ def _standardize_batch(x: np.ndarray) -> np.ndarray:
     sd = x.std(axis=-1, keepdims=True)
     out = np.where(sd < 1e-9, 0.0, (x - mu) / np.where(sd < 1e-9, 1.0, sd))
     return out
+
+
+def stack_epochs(epochs: list[Epoch]) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized float64 windows (N, C, T) and int64 labels (N,)."""
+    if not epochs:
+        raise ValueError("empty epoch set: training and evaluation need a non-empty one")
+    x = _standardize_batch(np.stack([ep.data for ep in epochs]).astype(np.float64))
+    y = np.array([int(ep.label) for ep in epochs], dtype=np.int64)
+    return x, y
 
 
 def _elu(z: np.ndarray) -> np.ndarray:
@@ -418,34 +421,26 @@ def _forward_batch(
 def forward(
     model: HierarchicalModel,
     epoch_data: np.ndarray,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Composed 3-class probabilities for one standardized window."""
-    if train_mode and rng is None:
-        raise ValueError("train_mode forward requires an rng for dropout")
+    """Composed 3-class probabilities for one standardized window; passing
+    an rng draws dropout masks from it (training mode)."""
     x = np.asarray(epoch_data, dtype=np.float64)[None]
-    pa, pb, _ = _forward_batch(model, x, rng if train_mode else None)
+    pa, pb, _ = _forward_batch(model, x, rng)
     return compose_probs(pa, pb)[0]
 
 
 def loss(probs: np.ndarray, label: ClassId | int) -> float:
     """Cross-entropy of the composed probabilities against a one-hot label."""
-    global _loss_clamp_count
-    p = float(probs[int(label)])
-    if p < LOSS_EPS:
-        _loss_clamp_count += 1
-        p = LOSS_EPS
-    return float(-np.log(p))
+    probs = np.asarray(probs, dtype=np.float64)[None]
+    return float(_cross_entropy(probs, np.array([int(label)]))[0])
 
 
-def _loss_batch(pa: np.ndarray, pb: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row -log p(label), zero probabilities clamped to LOSS_EPS."""
     global _loss_clamp_count
-    probs = compose_probs(pa, pb)
     picked = probs[np.arange(len(labels)), labels]
-    n_clamped = int((picked < LOSS_EPS).sum())
-    if n_clamped:
-        _loss_clamp_count += n_clamped
+    _loss_clamp_count += int((picked < LOSS_EPS).sum())
     return -np.log(np.maximum(picked, LOSS_EPS))
 
 
@@ -462,7 +457,7 @@ def _backward_batch(
     d_input is None unless requested.
     """
     pa, pb, ctx = _forward_batch(model, x, rng)
-    losses = _loss_batch(pa, pb, labels)
+    losses = _cross_entropy(compose_probs(pa, pb), labels)
     b = x.shape[0]
     is_target = labels > 0
 
@@ -505,33 +500,15 @@ def backward(
     return grads, mean_loss
 
 
-def input_gradient(
-    model: HierarchicalModel, epoch_data: np.ndarray, label: ClassId | int
-) -> np.ndarray:
-    """d loss / d input for one standardized window, dropout disabled."""
-    x = np.asarray(epoch_data, dtype=np.float64)[None]
-    _, _, dx = _backward_batch(
-        model, x, np.array([int(label)]), None, need_input_grad=True
-    )
-    return dx[0]
-
-
-def predict(
-    model: HierarchicalModel, epoch_data: np.ndarray
-) -> tuple[ClassId, np.ndarray]:
-    """Argmax class (ties break to the lowest index) plus the probabilities."""
-    probs = forward(model, epoch_data)
-    return ClassId(int(np.argmax(probs))), probs
-
-
 def predict_batch(
-    model: HierarchicalModel, x: np.ndarray, chunk: int = 256
+    model: HierarchicalModel, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized eval-mode prediction over standardized windows (B, C, T)."""
+    """Vectorized eval-mode prediction over standardized windows (B, C, T):
+    argmax labels (ties break to the lowest index) and probabilities."""
     labels = np.empty(x.shape[0], dtype=np.int64)
     probs = np.empty((x.shape[0], 3))
-    for lo in range(0, x.shape[0], chunk):
-        hi = min(lo + chunk, x.shape[0])
+    for lo in range(0, x.shape[0], PREDICT_CHUNK):
+        hi = min(lo + PREDICT_CHUNK, x.shape[0])
         pa, pb, _ = _forward_batch(model, x[lo:hi])
         p = compose_probs(pa, pb)
         probs[lo:hi] = p
@@ -554,13 +531,8 @@ def train(
     dropout streams derive from cfg.seed, so identical inputs give
     bit-identical results.
     """
-    if not epochs_data:
-        raise ValueError("training requires a non-empty dataset")
+    x, y = stack_epochs(epochs_data)
     model = copy.deepcopy(model)
-    x = _standardize_batch(
-        np.stack([ep.data for ep in epochs_data]).astype(np.float64)
-    )
-    y = np.array([int(ep.label) for ep in epochs_data], dtype=np.int64)
 
     rng_shuffle = np.random.default_rng(child_seed(cfg.seed, "shuffle"))
     rng_dropout = np.random.default_rng(child_seed(cfg.seed, "dropout"))

@@ -19,11 +19,11 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from eegtd.core import ClassId, EventSchedule, Recording
+from eegtd.core import ROTATION_CSV_CODE, ClassId, EventSchedule, Recording
 from eegtd.metrics import Detection
 from eegtd.model import HierarchicalModel, forward, standardize
 
@@ -31,13 +31,20 @@ log = logging.getLogger("eegtd.stream")
 
 ESP_MAGIC = b"ESP1"
 MSG_START, MSG_DATA, MSG_STOP = 1, 2, 3
-
-ROTATION_MARKER_CODE = 100
-WEATHER_MARKER_CODE = 101
+# Ceilings that bound every payload before it is read. The replay server
+# sends 10 frames per block at 250 Hz and 40 ms; 4096 frames of 1024
+# channels still fit in 17 MB.
+MAX_START_PAYLOAD = 1 << 20
+MAX_CHANNELS = 1024
+MAX_BLOCK_FRAMES = 4096
 
 
 class ProtocolError(RuntimeError):
     """Bytes or message order violating the ESP protocol."""
+
+
+class _ReceiveCancelled(Exception):
+    """Raised inside the receiver thread to stop it once inference failed."""
 
 
 class ConnectionLost(ProtocolError):
@@ -112,6 +119,10 @@ def _decode_start(payload: bytes) -> StartMessage:
     if len(payload) < 12:
         raise ProtocolError("Start payload too short")
     rate, n_channels = struct.unpack_from("<dI", payload, 0)
+    if not 1 <= n_channels <= MAX_CHANNELS:
+        raise ProtocolError(
+            f"Start declares {n_channels} channels, expected 1 to {MAX_CHANNELS}"
+        )
     pos = 12
     names = []
     for i in range(n_channels):
@@ -205,18 +216,35 @@ class EspStreamReader:
         if first != ESP_MAGIC:
             raise ProtocolError(f"bad magic {first!r}")
         mtype, length = struct.unpack("<IQ", self._read_exact(12, "frame header"))
-        payload = self._read_exact(length, f"payload of type {mtype}") if length else b""
+        # Order, type and length are checked before the payload is read, so
+        # a malformed header never makes the reader ask for a huge buffer.
         if mtype == MSG_START:
             if self._started:
                 raise ProtocolError("duplicate Start message")
+            limit = MAX_START_PAYLOAD
+        elif mtype == MSG_DATA:
+            if not self._started:
+                raise ProtocolError("Data before Start")
+            # header, frames, marker count, up to one marker per frame
+            limit = 16 + MAX_BLOCK_FRAMES * (4 * self._n_channels + 8)
+        elif mtype == MSG_STOP:
+            if not self._started:
+                raise ProtocolError("Stop before Start")
+            limit = 8
+        else:
+            raise ProtocolError(f"unknown message type {mtype}")
+        if length > limit:
+            raise ProtocolError(
+                f"message type {mtype} declares {length} payload bytes, limit {limit}"
+            )
+        payload = self._read_exact(length, f"payload of type {mtype}") if length else b""
+        if mtype == MSG_START:
             msg = _decode_start(payload)
             self._started = True
             self._n_channels = msg.n_channels
             return msg
         if mtype == MSG_DATA:
-            if not self._started:
-                raise ProtocolError("Data before Start")
-            msg = _decode_data(payload, self._n_channels or 0)
+            msg = _decode_data(payload, self._n_channels)
             if msg.block_index != self._next_block:
                 raise ProtocolError(
                     f"block index {msg.block_index}, expected {self._next_block}"
@@ -224,19 +252,15 @@ class EspStreamReader:
             self._next_block += 1
             self.frames_delivered += msg.n_frames
             return msg
-        if mtype == MSG_STOP:
-            if not self._started:
-                raise ProtocolError("Stop before Start")
-            self._stopped = True
-            return _decode_stop(payload)
-        raise ProtocolError(f"unknown message type {mtype}")
+        self._stopped = True
+        return _decode_stop(payload)
 
 
 def _schedule_markers(schedule: EventSchedule) -> list[tuple[int, int]]:
     """(onset, class_code) for every target and dynamics event."""
     markers = [(ev.onset, int(ev.class_id)) for ev in schedule.targets]
     markers += [
-        (dyn.onset, ROTATION_MARKER_CODE + int(dyn.kind)) for dyn in schedule.dynamics
+        (dyn.onset, ROTATION_CSV_CODE + int(dyn.kind)) for dyn in schedule.dynamics
     ]
     markers.sort()
     return markers
@@ -271,10 +295,10 @@ class ReplayServer:
         if not speed > 0:
             raise ValueError("speed must be positive (use inf to disable pacing)")
         self.chunk_frames = int(chunk_ms * recording.sampling_rate / 1000.0)
-        if self.chunk_frames < 1:
+        if not 1 <= self.chunk_frames <= MAX_BLOCK_FRAMES:
             raise ValueError(
-                f"chunk of {chunk_ms} ms holds no full frame at "
-                f"{recording.sampling_rate} Hz"
+                f"chunk of {chunk_ms} ms holds {self.chunk_frames} frames at "
+                f"{recording.sampling_rate} Hz, expected 1 to {MAX_BLOCK_FRAMES}"
             )
         self.recording = recording
         self.schedule = schedule
@@ -347,19 +371,6 @@ class ReplayServer:
         thread = threading.Thread(target=self.serve_once, daemon=True)
         thread.start()
         return thread
-
-
-def serve_replay(
-    recording: Recording,
-    schedule: EventSchedule,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    chunk_ms: float = 40.0,
-    speed: float = 1.0,
-) -> ReplaySummary:
-    """Bind, serve a single replay session, and close."""
-    with ReplayServer(recording, schedule, host, port, chunk_ms, speed) as server:
-        return server.serve_once()
 
 
 @dataclass
@@ -558,20 +569,6 @@ class OnlineEngine:
         return None
 
 
-def online_infer(
-    frame_blocks: Iterable[np.ndarray],
-    model,
-    cfg: OnlineConfig,
-    window_len: int | None = None,
-    n_channels: int | None = None,
-) -> list[Detection]:
-    """Run the online engine over an iterable of frame blocks."""
-    engine = OnlineEngine(model, cfg, window_len, n_channels)
-    for block in frame_blocks:
-        engine.push(block)
-    return engine.detections
-
-
 def stream_online_inference(
     endpoint: str | tuple[str, int],
     model,
@@ -585,34 +582,51 @@ def stream_online_inference(
 
     The receiving thread feeds a bounded queue (backpressure blocks the
     socket reader, so no frame is ever dropped); the caller's thread runs
-    the inference engine and returns detections in time order.
+    the inference engine and returns detections in time order. If the
+    engine raises, the receiver is cancelled, its socket closed and the
+    thread joined before the exception propagates.
     """
     frames_q: queue.Queue = queue.Queue(maxsize=queue_size)
+    cancelled = threading.Event()
+
+    def sink(msg: DataMessage) -> None:
+        if cancelled.is_set():
+            raise _ReceiveCancelled  # client_receive closes the socket
+        frames_q.put(msg)
 
     def pump() -> None:
         try:
-            summary = client_receive(
-                endpoint, lambda msg: frames_q.put(msg), timeout_s=timeout_s
-            )
+            summary = client_receive(endpoint, sink, timeout_s=timeout_s)
             frames_q.put(("done", summary))
         except Exception as exc:  # delivered to the consumer thread
             frames_q.put(("error", exc))
 
+    engine = OnlineEngine(model, cfg, window_len, n_channels)
     receiver = threading.Thread(target=pump, daemon=True)
     receiver.start()
-    engine = OnlineEngine(model, cfg, window_len, n_channels)
-    while True:
-        item = frames_q.get()
-        if isinstance(item, DataMessage):
-            new = engine.push(item.frames)
-            for det in new:
-                log.info(
-                    "detection time=%d class=%d confidence=%.3f",
-                    det.time, int(det.class_id), det.confidence,
-                )
-            continue
-        kind, value = item
-        receiver.join()
-        if kind == "error":
-            raise value
-        return engine.detections, value
+    try:
+        while True:
+            item = frames_q.get()
+            if isinstance(item, DataMessage):
+                new = engine.push(item.frames)
+                for det in new:
+                    log.info(
+                        "detection time=%d class=%d confidence=%.3f",
+                        det.time, int(det.class_id), det.confidence,
+                    )
+                continue
+            kind, value = item
+            receiver.join()
+            if kind == "error":
+                raise value
+            return engine.detections, value
+    except BaseException:
+        cancelled.set()
+        # Draining lets a put blocked on the full queue return, so the
+        # receiver reaches its next sink call and sees the cancellation.
+        while receiver.is_alive():
+            try:
+                frames_q.get(timeout=0.05)
+            except queue.Empty:
+                pass
+        raise

@@ -12,7 +12,7 @@ itself, so recordings superpose additively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -60,7 +60,6 @@ class StimulusProfile:
     rotation_period_s: float | None = None
     rotation_duration_s: float = 3.0
     weather_drift: bool = False
-    bbox_cue: bool = False
 
     def __post_init__(self) -> None:
         if self.events_per_class < 1:
@@ -91,9 +90,11 @@ class StimulusProfile:
 
     @classmethod
     def video2ai(cls, events_per_class: int = 30) -> "StimulusProfile":
+        """The AI-cued Video2. No bounding-box cue model exists yet, so it
+        renders exactly like video2n."""
         return cls(
             "video2ai", 480.0, events_per_class,
-            rotation_period_s=5.0, weather_drift=True, bbox_cue=True,
+            rotation_period_s=5.0, weather_drift=True,
         )
 
 
@@ -307,25 +308,3 @@ def render_eeg(schedule: EventSchedule, cfg: SynthConfig) -> Recording:
                 x[:, dyn.onset : dyn.end] += np.outer(w_conf, burst)
 
     return Recording(cfg.sampling_rate, labels, x.astype(np.float32))
-
-
-def snr_sweep(
-    profile: StimulusProfile, cfg: SynthConfig, amp_list: list[float]
-) -> list[tuple[float, Recording, EventSchedule]]:
-    """One recording per evoked amplitude over a single shared schedule.
-
-    The error-class amplitude is scaled by the same factor as the true-class
-    amplitude; render seeds derive from cfg.seed + index.
-    """
-    schedule = make_schedule(profile, cfg.seed, cfg.sampling_rate)
-    out = []
-    for i, amp in enumerate(amp_list):
-        if cfg.erp_amp_true != 0.0:
-            err_amp = amp * (cfg.erp_amp_error / cfg.erp_amp_true)
-        else:
-            err_amp = cfg.erp_amp_error
-        cfg_i = replace(
-            cfg, erp_amp_true=amp, erp_amp_error=err_amp, seed=cfg.seed + i
-        )
-        out.append((amp, render_eeg(schedule, cfg_i), schedule))
-    return out

@@ -219,9 +219,12 @@ class TestGradientSaliency:
         model, epochs = trained_single_channel_model
         ep = epochs[40]  # a class-1 epoch
         x = standardize(ep.data)
-        from eegtd.model import input_gradient
+        from eegtd.model import _backward_batch
 
-        dx = input_gradient(model, x, int(ep.label))
+        _, _, dx = _backward_batch(
+            model, x[None], np.array([int(ep.label)]), need_input_grad=True
+        )
+        dx = dx[0]
         rng = np.random.default_rng(1)
         h = 1e-4
         for _ in range(3):

@@ -1,6 +1,4 @@
-"""Label assignment, augmentation counts, negative sampling, epoch cache."""
-
-import io
+"""Label assignment, augmentation counts, negative sampling."""
 
 import numpy as np
 import pytest
@@ -16,9 +14,8 @@ from eegtd.dataset import (
     build_dataset,
     build_eval_dataset,
     class_ratio,
-    read_epochs,
+    free_window_starts,
     sample_nontarget,
-    write_epochs,
 )
 
 RATE = 250.0
@@ -177,6 +174,20 @@ class TestSampleNontarget:
             sample_nontarget(rec, assign_labels(sched), DatasetConfig(), seed=1)
 
 
+class TestFreeWindowStarts:
+    # zeros dominate so that long all-zero spans are common
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, 2]), max_size=60), st.integers(1, 20))
+    def test_matches_brute_force_scan(self, labels, span):
+        track = np.array(labels, dtype=np.int8)
+        expected = [
+            s for s in range(len(labels) - span + 1)
+            if not track[s : s + span].any()
+        ]
+        starts = free_window_starts(track, span)
+        assert starts.tolist() == expected
+
+
 class TestBuildDataset:
     def test_video2n_counts(self):
         rec = flat_recording(120000)
@@ -234,34 +245,6 @@ class TestEvalDataset:
         epochs = build_eval_dataset(rec, sched, DatasetConfig(), seed=3)
         target_onsets = [e.source_onset for e in epochs if e.label != ClassId.NON_TARGET]
         assert target_onsets == [ev.onset for ev in sched.targets]
-
-
-class TestEpochCache:
-    def test_round_trip(self):
-        rec = flat_recording(75000)
-        sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
-        epochs = build_dataset(rec, sched, DatasetConfig(), seed=3)
-        buf = io.BytesIO()
-        write_epochs(epochs, buf)
-        buf.seek(0)
-        back = read_epochs(buf, n_channels=4, window_len=250)
-        assert len(back) == len(epochs)
-        for x, y in zip(epochs, back):
-            assert x.label == y.label
-            assert x.source_onset == y.source_onset
-            assert np.array_equal(x.data, y.data)
-
-    def test_truncation_error(self):
-        from eegtd.core import FormatError
-
-        rec = flat_recording(75000)
-        sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
-        epochs = build_dataset(rec, sched, DatasetConfig(), seed=3)
-        buf = io.BytesIO()
-        write_epochs(epochs, buf)
-        data = buf.getvalue()[:-7]
-        with pytest.raises(FormatError, match="truncated"):
-            read_epochs(io.BytesIO(data), n_channels=4, window_len=250)
 
 
 class TestDatasetConfig:

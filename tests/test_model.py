@@ -18,17 +18,16 @@ from eegtd.model import (
     compose_probs,
     forward,
     init_model,
-    input_gradient,
     load_model,
     loss,
     loss_clamp_count,
     param_shapes,
-    predict,
     predict_batch,
     reset_loss_clamp_count,
     save_model,
     standardize,
     train,
+    _backward_batch,
 )
 
 TINY = NetConfig(
@@ -162,7 +161,10 @@ class TestGradients:
                 assert np.array_equal(g1[sn][name], g2[sn][name])
 
     def test_input_gradient_matches_finite_differences(self, tiny_model, tiny_input):
-        dx = input_gradient(tiny_model, tiny_input, 1)
+        _, _, dx = _backward_batch(
+            tiny_model, tiny_input[None], np.array([1]), need_input_grad=True
+        )
+        dx = dx[0]
         x = tiny_input.copy()
         h = 1e-4
         rng = np.random.default_rng(0)
@@ -288,8 +290,8 @@ class TestCalibrate:
 
 class TestPredict:
     def test_argmax_and_tie_break(self, tiny_model, tiny_input):
-        label, probs = predict(tiny_model, tiny_input)
-        assert int(label) == int(np.argmax(probs))
+        labels, probs = predict_batch(tiny_model, tiny_input[None])
+        assert int(labels[0]) == int(np.argmax(probs[0]))
         # explicit tie-break check on the documented rule
         assert np.argmax(np.array([0.4, 0.4, 0.2])) == 0
 
@@ -297,9 +299,9 @@ class TestPredict:
         rng = np.random.default_rng(8)
         for _ in range(100):
             x = standardize(rng.standard_normal((3, 20)))
-            label, probs = predict(tiny_model, x)
-            assert np.array_equal(probs, forward(tiny_model, x))
-            assert int(label) == int(np.argmax(probs))
+            labels, probs = predict_batch(tiny_model, x[None])
+            assert np.array_equal(probs[0], forward(tiny_model, x))
+            assert int(labels[0]) == int(np.argmax(probs[0]))
 
     def test_dimension_mismatch(self, tiny_model):
         with pytest.raises(ValueError, match="shape"):
@@ -307,20 +309,6 @@ class TestPredict:
 
 
 class TestDropout:
-    def test_train_mode_requires_rng(self, tiny_input):
-        model = init_model(
-            NetConfig(n_channels=3, window_len=20, temporal_filters=2,
-                      deep_filters=(2,), kernel_len=3, pool_len=2,
-                      dropout_rate=0.4, dense_hidden=4),
-            seed=11,
-        )
-        with pytest.raises(ValueError, match="rng"):
-            forward(model, tiny_input, train_mode=True)
-        rng = np.random.default_rng(0)
-        p1 = forward(model, tiny_input, train_mode=True, rng=rng)
-        p2 = forward(model, tiny_input)
-        assert not np.allclose(p1, p2)
-
     def test_seeded_dropout_reproducible(self, tiny_input):
         model = init_model(
             NetConfig(n_channels=3, window_len=20, temporal_filters=2,
@@ -328,9 +316,11 @@ class TestDropout:
                       dropout_rate=0.4, dense_hidden=4),
             seed=11,
         )
-        a = forward(model, tiny_input, train_mode=True, rng=np.random.default_rng(5))
-        b = forward(model, tiny_input, train_mode=True, rng=np.random.default_rng(5))
+        a = forward(model, tiny_input, rng=np.random.default_rng(5))
+        b = forward(model, tiny_input, rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
+        # passing an rng is what switches dropout on
+        assert not np.allclose(a, forward(model, tiny_input))
 
 
 class TestSerialization:

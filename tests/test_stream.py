@@ -2,6 +2,7 @@
 online detection automaton."""
 
 import socket
+import struct
 import threading
 import time
 
@@ -15,6 +16,7 @@ from eegtd.stream import (
     ConnectionLost,
     DataMessage,
     EspStreamReader,
+    MAX_BLOCK_FRAMES,
     OnlineConfig,
     OnlineEngine,
     ProtocolError,
@@ -24,16 +26,19 @@ from eegtd.stream import (
     StopMessage,
     client_receive,
     encode_message,
-    online_infer,
     stream_online_inference,
 )
 
 
-def reader_over(data: bytes) -> EspStreamReader:
+def reader_over(data: bytes, ceiling: int | None = None) -> EspStreamReader:
+    """A reader over `data`. With a ceiling, read(n) fails if n exceeds both
+    it and the whole stream, so an oversized length is caught unallocated."""
     view = memoryview(data)
     pos = [0]
 
     def read(n):
+        if ceiling is not None:
+            assert n <= max(ceiling, len(data)), f"reader asked for {n} bytes"
         chunk = view[pos[0] : pos[0] + n]
         pos[0] += len(chunk)
         return bytes(chunk)
@@ -118,6 +123,39 @@ class TestCodec:
         reader = reader_over(blob)
         reader.next_message()
         with pytest.raises(ProtocolError, match="marker"):
+            reader.next_message()
+
+
+class TestPayloadBounds:
+    START = encode_message(StartMessage(250.0, 2, ("a", "b")))
+    DATA_BOUND = 16 + MAX_BLOCK_FRAMES * (4 * 2 + 8)
+
+    @pytest.mark.parametrize("mtype, length, ceiling", [
+        (1, 1 << 40, 1 << 20),       # Start
+        (2, 1 << 40, DATA_BOUND),    # Data, two channels
+        (2, DATA_BOUND + 1, DATA_BOUND),
+        (3, 1 << 33, 8),             # Stop is exactly 8 bytes
+        (3, 9, 8),
+    ])
+    def test_oversized_payload_rejected_before_read(self, mtype, length, ceiling):
+        prefix = b"" if mtype == 1 else self.START
+        blob = prefix + b"ESP1" + struct.pack("<IQ", mtype, length)
+        reader = reader_over(blob, ceiling)
+        if prefix:
+            reader.next_message()
+        with pytest.raises(ProtocolError, match="limit"):
+            reader.next_message()
+
+    def test_largest_block_accepted(self):
+        frames = np.ones((MAX_BLOCK_FRAMES, 2), dtype=np.float32)
+        blob = self.START + encode_message(DataMessage(0, frames))
+        reader = reader_over(blob, self.DATA_BOUND)
+        reader.next_message()
+        assert reader.next_message().n_frames == MAX_BLOCK_FRAMES
+
+    def test_zero_channel_start_rejected(self):
+        reader = reader_over(encode_message(StartMessage(250.0, 0, ())))
+        with pytest.raises(ProtocolError, match="0 channels"):
             reader.next_message()
 
 
@@ -380,10 +418,11 @@ class TestOnlineEngine:
 
     def test_online_infer_helper(self):
         rec = flag_recording(2500, [(1000, 1250)])
+        engine = OnlineEngine(step_stub(rec), self.CFG, window_len=250, n_channels=2)
         frames = rec.samples.T
-        blocks = [frames[i : i + 50] for i in range(0, 2500, 50)]
-        dets = online_infer(blocks, step_stub(rec), self.CFG, window_len=250, n_channels=2)
-        assert len(dets) == 1
+        for i in range(0, 2500, 50):
+            engine.push(frames[i : i + 50])
+        assert len(engine.detections) == 1
 
 
 class TestStreamOnlineInference:
@@ -403,3 +442,24 @@ class TestStreamOnlineInference:
         assert summary.total_frames == 2500
         assert len(dets) == 1
         assert 1250 <= dets[0].time <= 1300
+
+    def test_predictor_error_reaches_caller_and_receiver_exits(self):
+        n = 50_000  # thousands of blocks, far more than the queue holds
+        rec = flag_recording(n, [])
+        schedule = EventSchedule(n, 250.0, [], [])
+
+        def broken(window):
+            raise RuntimeError("predictor failed")
+
+        before = set(threading.enumerate())
+        server = ReplayServer(rec, schedule, chunk_ms=40.0, speed=float("inf"))
+        with server:
+            server_thread = server.serve_in_thread()
+            with pytest.raises(RuntimeError, match="predictor failed"):
+                stream_online_inference(
+                    (server.host, server.port), broken, OnlineConfig(),
+                    window_len=250, n_channels=2, queue_size=4, timeout_s=10.0,
+                )
+            server_thread.join(10.0)
+        left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+        assert left == []

@@ -1,5 +1,7 @@
 """Schedule generator and synthetic EEG renderer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from eegtd.synth import (
     make_schedule,
     profile_by_name,
     render_eeg,
-    snr_sweep,
 )
 
 
@@ -25,8 +26,8 @@ class TestProfiles:
         v2n = profile_by_name("video2n")
         assert (v2n.length_s, v2n.events_per_class) == (480.0, 30)
         assert v2n.rotation_period_s == 5.0 and v2n.weather_drift
-        assert not v2n.bbox_cue
-        assert profile_by_name("video2ai").bbox_cue
+        # no cue model yet: video2ai differs from video2n only in its name
+        assert replace(profile_by_name("video2ai"), name="video2n") == v2n
 
     def test_unknown_profile(self):
         with pytest.raises(SynthError, match="unknown profile"):
@@ -194,27 +195,6 @@ class TestTemplate:
     def test_nontarget_has_no_template(self):
         with pytest.raises(ValueError):
             erp_template(SynthConfig(), ClassId.NON_TARGET)
-
-
-class TestSnrSweep:
-    def test_shared_schedule_and_counts(self):
-        out = snr_sweep(profile_by_name("video1"), SynthConfig(seed=3), [8.0, 4.0, 2.0])
-        assert len(out) == 3
-        amps = [amp for amp, _, _ in out]
-        assert amps == [8.0, 4.0, 2.0]
-        schedules = [sched for _, _, sched in out]
-        assert schedules[0] is schedules[1] is schedules[2]
-
-    def test_error_amp_scales_proportionally(self):
-        cfg = SynthConfig(background_sigma=0.0, seed=3)
-        out = snr_sweep(profile_by_name("video1"), cfg, [4.0])
-        amp, rec, sched = out[0]
-        ev_err = next(e for e in sched.targets if e.class_id == ClassId.ERROR_TARGET)
-        cz = rec.channel_names.index("Cz")
-        assert rec.samples[cz, ev_err.onset + 75] == pytest.approx(2.5, abs=1e-5)
-
-    def test_empty_list(self):
-        assert snr_sweep(profile_by_name("video1"), SynthConfig(seed=3), []) == []
 
 
 class TestSynthConfigValidation:
