@@ -43,11 +43,11 @@ class DynamicsKind(IntEnum):
     WEATHER_SHIFT = 1
 
 
-_KIND_TO_CSV = {
+KIND_TO_CSV = {
     DynamicsKind.CAMERA_ROTATION: ROTATION_CSV_CODE,
     DynamicsKind.WEATHER_SHIFT: WEATHER_CSV_CODE,
 }
-_CSV_TO_KIND = {v: k for k, v in _KIND_TO_CSV.items()}
+_CSV_TO_KIND = {v: k for k, v in KIND_TO_CSV.items()}
 
 
 @dataclass
@@ -258,7 +258,7 @@ def write_schedule(schedule: EventSchedule, destination: TextIO) -> None:
     for ev in schedule.targets:
         destination.write(f"{ev.onset},{int(ev.class_id)},{ev.duration}\n")
     for dyn in schedule.dynamics:
-        destination.write(f"{dyn.onset},{_KIND_TO_CSV[dyn.kind]},{dyn.duration}\n")
+        destination.write(f"{dyn.onset},{KIND_TO_CSV[dyn.kind]},{dyn.duration}\n")
 
 
 def read_schedule(

@@ -77,12 +77,6 @@ def augment_minority(
     return epochs
 
 
-def _count_events(labels: np.ndarray) -> int:
-    occupied = (labels != 0).astype(np.int8)
-    rises = np.diff(np.concatenate(([0], occupied))) == 1
-    return int(rises.sum())
-
-
 def free_window_starts(labels: np.ndarray, span: int) -> np.ndarray:
     """Ascending starts s whose samples labels[s : s + span] are all 0."""
     occupied = (labels != 0).astype(np.int64)
@@ -91,22 +85,14 @@ def free_window_starts(labels: np.ndarray, span: int) -> np.ndarray:
 
 
 def sample_nontarget(
-    rec: Recording,
-    track: LabelTrack,
-    cfg: DatasetConfig,
-    seed: int,
-    n_events: int | None = None,
+    rec: Recording, schedule: EventSchedule, cfg: DatasetConfig, seed: int
 ) -> list[Epoch]:
-    """nontarget_per_event * n_events seeded epochs disjoint from all target spans.
-
-    n_events defaults to the number of contiguous labeled runs in the track.
-    """
-    labels = track.labels
+    """nontarget_per_event seeded epochs per target event, disjoint from all
+    target spans."""
+    labels = assign_labels(schedule).labels
     if len(labels) != rec.n_samples:
-        raise DatasetError("label track length does not match recording")
-    if n_events is None:
-        n_events = _count_events(labels)
-    quota = cfg.nontarget_per_event * n_events
+        raise DatasetError("schedule length does not match recording")
+    quota = cfg.nontarget_per_event * len(schedule.targets)
     if quota == 0:
         return []
     w = cfg.window_len
@@ -132,12 +118,8 @@ def build_dataset(
     rec: Recording, schedule: EventSchedule, cfg: DatasetConfig, seed: int
 ) -> list[Epoch]:
     """Augmented minority epochs plus sampled negatives, seeded shuffle."""
-    track = assign_labels(schedule)
     epochs = augment_minority(rec, schedule, cfg)
-    epochs += sample_nontarget(
-        rec, track, cfg, child_seed(seed, "nontarget"),
-        n_events=len(schedule.targets),
-    )
+    epochs += sample_nontarget(rec, schedule, cfg, child_seed(seed, "nontarget"))
     rng = np.random.default_rng(child_seed(seed, "shuffle"))
     order = rng.permutation(len(epochs))
     return [epochs[i] for i in order]
@@ -154,9 +136,5 @@ def build_eval_dataset(
             raise DatasetError(f"event {index}: evaluation window overruns recording")
         data = rec.samples[:, ev.onset : ev.onset + cfg.window_len].copy()
         epochs.append(Epoch(data, ev.class_id, ev.onset))
-    track = assign_labels(schedule)
-    epochs += sample_nontarget(
-        rec, track, cfg, child_seed(seed, "eval-nontarget"),
-        n_events=len(schedule.targets),
-    )
+    epochs += sample_nontarget(rec, schedule, cfg, child_seed(seed, "eval-nontarget"))
     return epochs

@@ -2,6 +2,11 @@
 with event markers, a wall-clock-paced replay server, a validating client,
 and the debounced online inference engine.
 
+The client runs in one thread: it decodes each Data block and pushes it
+into the engine before reading the next. The socket buffer holds the
+backlog; once it is full, the server's `sendall` blocks, so no frame is
+dropped.
+
 ESP framing (little-endian): magic "ESP1" | type u32 (1=Start, 2=Data,
 3=Stop) | payload_len u64 | payload. Start carries rate and channel names;
 Data carries a strictly increasing block index, sample-major f32 frames,
@@ -13,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import queue
 import socket
 import struct
 import threading
@@ -23,7 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from eegtd.core import ROTATION_CSV_CODE, ClassId, EventSchedule, Recording
+from eegtd.core import KIND_TO_CSV, ClassId, EventSchedule, Recording
 from eegtd.metrics import Detection
 from eegtd.model import HierarchicalModel, forward, standardize
 
@@ -41,10 +45,6 @@ MAX_BLOCK_FRAMES = 4096
 
 class ProtocolError(RuntimeError):
     """Bytes or message order violating the ESP protocol."""
-
-
-class _ReceiveCancelled(Exception):
-    """Raised inside the receiver thread to stop it once inference failed."""
 
 
 class ConnectionLost(ProtocolError):
@@ -132,7 +132,10 @@ def _decode_start(payload: bytes) -> StartMessage:
         pos += 2
         if pos + name_len > len(payload):
             raise ProtocolError(f"Start payload truncated in channel name {i}")
-        names.append(payload[pos : pos + name_len].decode("utf-8"))
+        try:
+            names.append(payload[pos : pos + name_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ProtocolError(f"channel name {i} is not UTF-8") from None
         pos += name_len
     if pos != len(payload):
         raise ProtocolError("Start payload has trailing bytes")
@@ -259,9 +262,7 @@ class EspStreamReader:
 def _schedule_markers(schedule: EventSchedule) -> list[tuple[int, int]]:
     """(onset, class_code) for every target and dynamics event."""
     markers = [(ev.onset, int(ev.class_id)) for ev in schedule.targets]
-    markers += [
-        (dyn.onset, ROTATION_CSV_CODE + int(dyn.kind)) for dyn in schedule.dynamics
-    ]
+    markers += [(dyn.onset, KIND_TO_CSV[dyn.kind]) for dyn in schedule.dynamics]
     markers.sort()
     return markers
 
@@ -379,9 +380,6 @@ class StreamSummary:
     n_blocks: int
     gaps: int
     wall_seconds: float
-    sampling_rate: float
-    channel_names: tuple[str, ...]
-    declared_samples: int
 
 
 def _parse_endpoint(endpoint: str | tuple[str, int]) -> tuple[str, int]:
@@ -404,10 +402,8 @@ def client_receive(
     t_start = time.monotonic()
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         reader = EspStreamReader(sock.recv)
-        msg = reader.next_message()
-        if msg is None or not isinstance(msg, StartMessage):
+        if not isinstance(reader.next_message(), StartMessage):
             raise ProtocolError("stream did not begin with Start")
-        start = msg
         n_blocks = 0
         stop: StopMessage | None = None
         while True:
@@ -431,9 +427,6 @@ def client_receive(
         n_blocks=n_blocks,
         gaps=0,
         wall_seconds=time.monotonic() - t_start,
-        sampling_rate=start.sampling_rate,
-        channel_names=start.channel_names,
-        declared_samples=stop.total_samples,
     )
 
 
@@ -523,6 +516,7 @@ class OnlineEngine:
             raise TypeError(f"unsupported model {model!r}")
         self.cfg = cfg
         self.window_len = window_len
+        self.n_channels = n_channels
         self.ring = RingBuffer(n_channels, 4 * window_len)
         self._next_eval = window_len
         self._run: list[tuple[float, float, float]] = []
@@ -530,8 +524,16 @@ class OnlineEngine:
         self.detections: list[Detection] = []
 
     def push(self, frames: np.ndarray) -> list[Detection]:
-        """Feed sample-major frames; returns detections emitted by this call."""
+        """Feed sample-major frames; returns detections emitted by this call.
+
+        Frames whose channel count differs from the model's raise
+        ProtocolError before any of them is buffered.
+        """
         frames = np.asarray(frames)
+        if frames.shape[1] != self.n_channels:
+            raise ProtocolError(
+                f"stream has {frames.shape[1]} channels, model {self.n_channels}"
+            )
         emitted: list[Detection] = []
         pos = 0
         while pos < frames.shape[0]:
@@ -575,58 +577,25 @@ def stream_online_inference(
     cfg: OnlineConfig,
     window_len: int | None = None,
     n_channels: int | None = None,
-    queue_size: int = 64,
     timeout_s: float = 60.0,
 ) -> tuple[list[Detection], StreamSummary]:
-    """Receive a session and run online inference concurrently.
+    """Receive a session and run online inference on it, in the caller's
+    thread; returns the detections in time order and the stream summary.
 
-    The receiving thread feeds a bounded queue (backpressure blocks the
-    socket reader, so no frame is ever dropped); the caller's thread runs
-    the inference engine and returns detections in time order. If the
-    engine raises, the receiver is cancelled, its socket closed and the
-    thread joined before the exception propagates.
+    Each Data block is pushed into the engine as soon as it is decoded.
+    While the engine works, later blocks wait in the socket buffer; once
+    that is full, the server's `sendall` blocks, so no frame is dropped. An
+    engine error propagates to the caller, and `client_receive` closes the
+    connection on the way out.
     """
-    frames_q: queue.Queue = queue.Queue(maxsize=queue_size)
-    cancelled = threading.Event()
+    engine = OnlineEngine(model, cfg, window_len, n_channels)
 
     def sink(msg: DataMessage) -> None:
-        if cancelled.is_set():
-            raise _ReceiveCancelled  # client_receive closes the socket
-        frames_q.put(msg)
+        for det in engine.push(msg.frames):
+            log.info(
+                "detection time=%d class=%d confidence=%.3f",
+                det.time, int(det.class_id), det.confidence,
+            )
 
-    def pump() -> None:
-        try:
-            summary = client_receive(endpoint, sink, timeout_s=timeout_s)
-            frames_q.put(("done", summary))
-        except Exception as exc:  # delivered to the consumer thread
-            frames_q.put(("error", exc))
-
-    engine = OnlineEngine(model, cfg, window_len, n_channels)
-    receiver = threading.Thread(target=pump, daemon=True)
-    receiver.start()
-    try:
-        while True:
-            item = frames_q.get()
-            if isinstance(item, DataMessage):
-                new = engine.push(item.frames)
-                for det in new:
-                    log.info(
-                        "detection time=%d class=%d confidence=%.3f",
-                        det.time, int(det.class_id), det.confidence,
-                    )
-                continue
-            kind, value = item
-            receiver.join()
-            if kind == "error":
-                raise value
-            return engine.detections, value
-    except BaseException:
-        cancelled.set()
-        # Draining lets a put blocked on the full queue return, so the
-        # receiver reaches its next sink call and sees the cancellation.
-        while receiver.is_alive():
-            try:
-                frames_q.get(timeout=0.05)
-            except queue.Empty:
-                pass
-        raise
+    summary = client_receive(endpoint, sink, timeout_s=timeout_s)
+    return engine.detections, summary

@@ -1,6 +1,7 @@
 """CLI subcommands: file emission, reproducibility, evaluation output."""
 
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eegtd
 from eegtd.cli import build_parser, main
 from eegtd.core import ClassId, Event, EventSchedule, load_recording, load_schedule, save_schedule
 from eegtd.metrics import Detection, write_detections_csv
@@ -17,6 +19,15 @@ def run_cli(args: list[str], capsys) -> tuple[int, str]:
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a `python -m eegtd.cli` child: its PYTHONPATH
+    starts with the directory this test imported eegtd from."""
+    src = str(Path(eegtd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestGenerate:
@@ -121,6 +132,7 @@ class TestParser:
              "--out-prefix", str(tmp_path / "x"), "--bogus-flag", "1"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode != 0
         assert "bogus-flag" in proc.stderr
@@ -266,6 +278,7 @@ class TestServeInferOnline:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
+            env=subprocess_env(),
         )
         try:
             banner = server.stdout.readline().strip()
@@ -278,6 +291,7 @@ class TestServeInferOnline:
                 capture_output=True,
                 text=True,
                 timeout=120,
+                env=subprocess_env(),
             )
             assert proc.returncode == 0, proc.stderr
             assert "received 75000 frames" in proc.stdout

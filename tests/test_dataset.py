@@ -143,8 +143,7 @@ class TestSampleNontarget:
     def test_spans_disjoint_from_targets(self):
         rec = flat_recording(75000)
         sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
-        track = assign_labels(sched)
-        epochs = sample_nontarget(rec, track, DatasetConfig(), seed=7)
+        epochs = sample_nontarget(rec, sched, DatasetConfig(), seed=7)
         assert len(epochs) == 14
         for ep in epochs:
             lo, hi = ep.source_onset, ep.source_onset + 250
@@ -153,25 +152,23 @@ class TestSampleNontarget:
 
     def test_deterministic(self):
         rec = flat_recording(75000)
-        track = assign_labels(
-            EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
-        )
-        a = sample_nontarget(rec, track, DatasetConfig(), seed=5)
-        b = sample_nontarget(rec, track, DatasetConfig(), seed=5)
+        sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
+        a = sample_nontarget(rec, sched, DatasetConfig(), seed=5)
+        b = sample_nontarget(rec, sched, DatasetConfig(), seed=5)
         assert [e.source_onset for e in a] == [e.source_onset for e in b]
 
     def test_fully_labeled_recording_errors(self):
         rec = flat_recording(500)
         sched = EventSchedule(500, RATE, [Event(0, ClassId.TRUE_TARGET, 500)], [])
         with pytest.raises(DatasetError):
-            sample_nontarget(rec, assign_labels(sched), DatasetConfig(), seed=1)
+            sample_nontarget(rec, sched, DatasetConfig(), seed=1)
 
     def test_insufficient_span_errors(self):
         rec = flat_recording(501)
         sched = EventSchedule(501, RATE, [Event(251, ClassId.TRUE_TARGET, 250)], [])
         # exactly two candidate starts (0 and 1) but quota is 14
         with pytest.raises(DatasetError, match="insufficient"):
-            sample_nontarget(rec, assign_labels(sched), DatasetConfig(), seed=1)
+            sample_nontarget(rec, sched, DatasetConfig(), seed=1)
 
 
 class TestFreeWindowStarts:

@@ -17,6 +17,7 @@ from eegtd.stream import (
     DataMessage,
     EspStreamReader,
     MAX_BLOCK_FRAMES,
+    MAX_CHANNELS,
     OnlineConfig,
     OnlineEngine,
     ProtocolError,
@@ -444,7 +445,7 @@ class TestStreamOnlineInference:
         assert 1250 <= dets[0].time <= 1300
 
     def test_predictor_error_reaches_caller_and_receiver_exits(self):
-        n = 50_000  # thousands of blocks, far more than the queue holds
+        n = 50_000  # thousands of blocks
         rec = flag_recording(n, [])
         schedule = EventSchedule(n, 250.0, [], [])
 
@@ -458,8 +459,103 @@ class TestStreamOnlineInference:
             with pytest.raises(RuntimeError, match="predictor failed"):
                 stream_online_inference(
                     (server.host, server.port), broken, OnlineConfig(),
-                    window_len=250, n_channels=2, queue_size=4, timeout_s=10.0,
+                    window_len=250, n_channels=2, timeout_s=10.0,
                 )
             server_thread.join(10.0)
         left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
         assert left == []
+
+    def test_runs_in_the_callers_thread(self):
+        rec = flag_recording(2500, [(1000, 1250)])
+        schedule = EventSchedule(2500, 250.0, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
+        predict = step_stub(rec)
+        seen = []
+
+        def recording_threads(window):
+            seen.append((threading.current_thread(), set(threading.enumerate())))
+            return predict(window)
+
+        server = ReplayServer(rec, schedule, chunk_ms=40.0, speed=float("inf"))
+        with server:
+            server_thread = server.serve_in_thread()
+            before = set(threading.enumerate())
+            dets, _ = stream_online_inference(
+                (server.host, server.port), recording_threads, OnlineConfig(),
+                window_len=250, n_channels=2, timeout_s=10.0,
+            )
+            server_thread.join(10.0)
+        assert not server_thread.is_alive()
+        assert len(dets) == 1
+        # The replay server may finish early, so compare threads, not counts.
+        assert seen
+        for current, alive in seen:
+            assert current is threading.main_thread()
+            assert alive <= before
+
+    def test_channel_count_mismatch_is_protocol_error(self):
+        rec = make_recording(2500, n_channels=3)
+        schedule = EventSchedule(2500, 250.0, [], [])
+        server = ReplayServer(rec, schedule, chunk_ms=40.0, speed=float("inf"))
+        with server:
+            server_thread = server.serve_in_thread()
+            with pytest.raises(ProtocolError, match="stream has 3 channels, model 2"):
+                stream_online_inference(
+                    (server.host, server.port), lambda w: np.array([1.0, 0.0, 0.0]),
+                    OnlineConfig(), window_len=250, n_channels=2, timeout_s=10.0,
+                )
+            server_thread.join(10.0)
+        assert not server_thread.is_alive()
+
+
+@st.composite
+def esp_streams(draw) -> bytes:
+    """A valid encoded session: Start, a few small Data blocks, Stop."""
+    n_channels = draw(st.integers(1, 3))
+    names = tuple(draw(st.text(max_size=4)) for _ in range(n_channels))
+    parts = [encode_message(StartMessage(250.0, n_channels, names))]
+    total = 0
+    for k in range(draw(st.integers(0, 3))):
+        n_frames = draw(st.integers(1, 3))
+        frames = draw(st.lists(
+            st.floats(width=32), min_size=n_frames * n_channels,
+            max_size=n_frames * n_channels,
+        ))
+        markers = draw(st.lists(
+            st.tuples(st.integers(0, n_frames - 1), st.sampled_from([1, 2, 100, 101])),
+            max_size=2,
+        ))
+        frames = np.array(frames, dtype=np.float32).reshape(n_frames, n_channels)
+        parts.append(encode_message(DataMessage(k, frames, markers)))
+        total += n_frames
+    parts.append(encode_message(StopMessage(total)))
+    return b"".join(parts)
+
+
+class TestFuzz:
+    # The largest payload any legal header may declare; the reader must never
+    # ask for more, whatever the bytes say.
+    CEILING = 16 + MAX_BLOCK_FRAMES * (4 * MAX_CHANNELS + 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(esp_streams(), st.data())
+    def test_mutated_streams_fail_only_with_protocol_error(self, blob, data):
+        edit = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+        if edit == "truncate":
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        elif edit == "flip":
+            mutable = bytearray(blob)
+            for _ in range(data.draw(st.integers(1, 4))):
+                pos = data.draw(st.integers(0, len(blob) - 1))
+                mutable[pos] ^= data.draw(st.integers(1, 255))
+            blob = bytes(mutable)
+        else:
+            cut = data.draw(st.integers(0, len(blob)))
+            lo = data.draw(st.integers(0, len(blob)))
+            hi = data.draw(st.integers(lo, len(blob)))
+            blob = blob[:cut] + blob[lo:hi] + blob[cut:]
+        reader = reader_over(blob, self.CEILING)
+        try:
+            while reader.next_message() is not None:
+                pass
+        except ProtocolError:
+            pass
