@@ -8,8 +8,8 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from eegtd.core import ClassId, DynamicsKind, Epoch, EventSchedule, LabelTrack, Recording
-from eegtd.dataset import assign_labels, free_window_starts
+from eegtd.core import ClassId, DynamicsKind, Epoch, EventSchedule, Recording
+from eegtd.dataset import assign_labels, check_same_length, free_window_starts
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta, window_confusion
 from eegtd.model import HierarchicalModel, _backward_batch, predict_batch, stack_epochs
 
@@ -70,6 +70,7 @@ def grand_average_erp(
     the dynamics events, and a NonTarget baseline built from seeded random
     onsets whose analysis span avoids every target span.
     """
+    check_same_length(rec, schedule)
     idx = np.array([rec.channel_index(name) for name in channels])
     data = rec.samples[idx]
     n_horizon = int(round(horizon_s * rec.sampling_rate))
@@ -89,7 +90,7 @@ def grand_average_erp(
         onsets_by_class[ROTATION_CLASS] = rot
 
     # Seeded pseudo-trials for the non-target baseline class.
-    labels = assign_labels(schedule).labels
+    labels = assign_labels(schedule)
     candidates = free_window_starts(labels, n_baseline + n_horizon) + n_baseline
     if candidates.size:
         count = min(max(len(schedule.targets), 1), candidates.size)
@@ -129,7 +130,7 @@ def _score_windows(
 ) -> tuple[float, ConfusionMatrix]:
     """Window-level macro F_beta and confusion of one prediction pass."""
     predicted, _ = predict_batch(model, x)
-    cm = window_confusion(LabelTrack(y), LabelTrack(predicted))
+    cm = window_confusion(y, predicted)
     return macro_f_beta(cm, cfg), cm
 
 

@@ -26,6 +26,7 @@ from eegtd.core import (
     save_schedule,
 )
 from eegtd.dataset import DatasetConfig, build_dataset, build_eval_dataset
+from eegtd.experiment import render_session
 from eegtd.metrics import (
     DEFAULT_MATCH_TOLERANCE,
     FBetaForm,
@@ -48,7 +49,8 @@ from eegtd.model import (
     write_loss_trace,
 )
 from eegtd.seeding import child_seed
-from eegtd.synth import SynthConfig, make_schedule, profile_by_name, render_eeg
+from eegtd.stream import OnlineConfig, ProtocolError, ReplayServer, stream_online_inference
+from eegtd.synth import SynthConfig, profile_by_name
 
 log = logging.getLogger("eegtd.cli")
 
@@ -99,28 +101,15 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, args: list[str]) -> 
     return args
 
 
-def _synth_config(args, profile_name: str, seed: int) -> SynthConfig:
-    confound = args.confound_amp
-    if confound is None:
-        confound = 12.0 if profile_name.startswith("video2") else 0.0
-    return SynthConfig(
-        background_sigma=float(args.background_sigma),
-        erp_amp_true=float(args.erp_amp_true),
-        erp_amp_error=float(args.erp_amp_error),
-        confound_amp=float(confound),
-        seed=seed,
-    )
-
-
 def cmd_generate(args) -> int:
-    profile = profile_by_name(
-        args.profile,
-        None if args.events_per_class is None else int(args.events_per_class),
+    profile = profile_by_name(args.profile, args.events_per_class)
+    synth = SynthConfig(
+        background_sigma=args.background_sigma,
+        erp_amp_true=args.erp_amp_true,
+        erp_amp_error=args.erp_amp_error,
+        confound_amp=args.confound_amp,
     )
-    seed = int(args.seed)
-    schedule = make_schedule(profile, child_seed(seed, "schedule"))
-    synth_cfg = _synth_config(args, profile.name, child_seed(seed, "eeg"))
-    recording = render_eeg(schedule, synth_cfg)
+    recording, schedule = render_session(profile, synth, args.seed)
     eegr = Path(f"{args.out_prefix}.eegr")
     csv_path = Path(f"{args.out_prefix}.schedule.csv")
     save_recording(recording, eegr)
@@ -132,27 +121,34 @@ def cmd_generate(args) -> int:
 
 def _dataset_config(args) -> DatasetConfig:
     return DatasetConfig(
-        window_len=int(args.window_len),
-        stride=int(args.stride),
-        nontarget_per_event=int(args.nontarget_per_event),
+        window_len=args.window_len,
+        stride=args.stride,
+        nontarget_per_event=args.nontarget_per_event,
     )
+
+
+def _train_config(args, seed: int, epochs: int = TrainConfig.epochs) -> TrainConfig:
+    return TrainConfig(
+        batch_size=args.batch_size,
+        learning_rate=args.learning_rate,
+        weight_decay=args.weight_decay,
+        epochs=epochs,
+        seed=seed,
+    )
+
+
+def _metric_config(args) -> MetricConfig:
+    return MetricConfig(beta=args.beta, form=FBetaForm(args.fbeta_form))
 
 
 def cmd_train(args) -> int:
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
-    seed = int(args.seed)
     cfg = _dataset_config(args)
-    epochs = build_dataset(recording, schedule, cfg, child_seed(seed, "dataset"))
+    epochs = build_dataset(recording, schedule, cfg, child_seed(args.seed, "dataset"))
     net = NetConfig(n_channels=recording.n_channels, window_len=cfg.window_len)
-    model = init_model(net, child_seed(seed, "init"))
-    train_cfg = TrainConfig(
-        batch_size=int(args.batch_size),
-        learning_rate=float(args.learning_rate),
-        weight_decay=float(args.weight_decay),
-        epochs=int(args.epochs),
-        seed=child_seed(seed, "train"),
-    )
+    model = init_model(net, child_seed(args.seed, "init"))
+    train_cfg = _train_config(args, child_seed(args.seed, "train"), epochs=args.epochs)
     trained, trace = train(model, epochs, train_cfg)
     with open(args.out_model, "wb") as fh:
         save_model(trained, fh)
@@ -169,18 +165,14 @@ def cmd_calibrate(args) -> int:
         model = load_model(fh)
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
-    seed = int(args.seed)
     cfg = _dataset_config(args)
-    epochs = build_dataset(recording, schedule, cfg, child_seed(seed, "calibration"))
-    train_cfg = TrainConfig(
-        batch_size=int(args.batch_size),
-        learning_rate=float(args.learning_rate),
-        weight_decay=float(args.weight_decay),
-        seed=child_seed(seed, "calibrate"),
+    epochs = build_dataset(
+        recording, schedule, cfg, child_seed(args.seed, "calibration")
     )
+    train_cfg = _train_config(args, child_seed(args.seed, "calibrate"))
     tuned = calibrate(
         model, epochs, train_cfg,
-        lr_scale=float(args.lr_scale), epochs=int(args.calibration_epochs),
+        lr_scale=args.lr_scale, epochs=args.calibration_epochs,
     )
     with open(args.out_model, "wb") as fh:
         save_model(tuned, fh)
@@ -189,14 +181,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from eegtd.stream import ReplayServer
-
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
     server = ReplayServer(
         recording, schedule,
-        host=args.host, port=int(args.port),
-        chunk_ms=float(args.chunk_ms), speed=float(args.speed),
+        host=args.host, port=args.port, chunk_ms=args.chunk_ms, speed=args.speed,
     )
     with server:
         print(f"serving on {server.host}:{server.port}", flush=True)
@@ -213,15 +202,13 @@ def cmd_serve(args) -> int:
 
 
 def cmd_infer_online(args) -> int:
-    from eegtd.stream import OnlineConfig, stream_online_inference
-
     with open(args.model, "rb") as fh:
         model = load_model(fh)
     cfg = OnlineConfig(
-        infer_stride=int(args.stride),
-        trigger_threshold=float(args.threshold),
-        consecutive_required=int(args.consecutive),
-        refractory=int(args.refractory),
+        infer_stride=args.stride,
+        trigger_threshold=args.threshold,
+        consecutive_required=args.consecutive,
+        refractory=args.refractory,
     )
     try:
         detections, summary = stream_online_inference(args.connect, model, cfg)
@@ -244,8 +231,8 @@ def cmd_evaluate(args) -> int:
     with open(args.detections, "r", encoding="utf-8") as fh:
         detections = read_detections_csv(fh)
     schedule = load_schedule(args.schedule)
-    cfg = MetricConfig(beta=float(args.beta), form=FBetaForm(args.fbeta_form))
-    cm, _ = match_detections(detections, schedule, tolerance=int(args.tolerance))
+    cfg = _metric_config(args)
+    cm, _ = match_detections(detections, schedule, tolerance=args.tolerance)
     for c in range(3):
         precision, recall = precision_recall(cm, c)
         print(
@@ -264,8 +251,8 @@ def cmd_analyze_erp(args) -> int:
     channels = [c.strip() for c in args.channels.split(",") if c.strip()]
     result = grand_average_erp(
         recording, schedule, channels,
-        horizon_s=float(args.horizon_s), baseline_s=float(args.baseline_s),
-        seed=child_seed(int(args.seed), "erp-baseline"),
+        horizon_s=args.horizon_s, baseline_s=args.baseline_s,
+        seed=child_seed(args.seed, "erp-baseline"),
     )
     with open(args.out, "w", newline="") as fh:
         write_erp_csv(result, fh)
@@ -288,9 +275,9 @@ def cmd_analyze_saliency(args) -> int:
     schedule = load_schedule(args.schedule)
     cfg = _dataset_config(args)
     epochs = build_eval_dataset(
-        recording, schedule, cfg, child_seed(int(args.seed), "saliency-eval")
+        recording, schedule, cfg, child_seed(args.seed, "saliency-eval")
     )
-    metric = MetricConfig(beta=float(args.beta), form=FBetaForm(args.fbeta_form))
+    metric = _metric_config(args)
     occ = occlusion_saliency(model, epochs, metric)
     grad = gradient_saliency(model, epochs)
     with open(args.out, "w", newline="") as fh:
@@ -414,25 +401,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="key=value file of flag defaults")
-        p.add_argument("--seed", default=7, help="master seed for all sub-streams")
+        p.add_argument("--seed", type=int, default=7,
+                       help="master seed for all sub-streams")
         p.add_argument("--log-level", default="info",
                        choices=["debug", "info", "warning", "error"])
 
     def add_dataset_flags(p):
-        p.add_argument("--window-len", default=250, type=int)
-        p.add_argument("--stride", default=25, type=int)
-        p.add_argument("--nontarget-per-event", default=14, type=int)
+        p.add_argument("--window-len", type=int, default=DatasetConfig.window_len)
+        p.add_argument("--stride", type=int, default=DatasetConfig.stride)
+        p.add_argument("--nontarget-per-event", type=int,
+                       default=DatasetConfig.nontarget_per_event)
+
+    def add_train_flags(p):
+        p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+        p.add_argument("--learning-rate", type=float,
+                       default=TrainConfig.learning_rate)
+        p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+        add_dataset_flags(p)
+
+    def add_metric_flags(p):
+        p.add_argument("--fbeta-form", default=MetricConfig.form.value,
+                       choices=[form.value for form in FBetaForm])
+        p.add_argument("--beta", type=float, default=MetricConfig.beta)
 
     p = sub.add_parser("generate", help="emit a synthetic EEGR recording plus schedule CSV")
     add_common(p)
     p.add_argument("--profile", required=True, choices=["video1", "video2n", "video2ai"])
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--events-per-class", default=None)
-    p.add_argument("--background-sigma", default=10.0)
-    p.add_argument("--erp-amp-true", default=8.0)
-    p.add_argument("--erp-amp-error", default=5.0)
-    p.add_argument("--confound-amp", default=None,
-                   help="rotation burst amplitude; default 0 (video1) / 12 (video2*)")
+    p.add_argument("--events-per-class", type=int)
+    p.add_argument("--background-sigma", type=float,
+                   default=SynthConfig.background_sigma)
+    p.add_argument("--erp-amp-true", type=float, default=SynthConfig.erp_amp_true)
+    p.add_argument("--erp-amp-error", type=float, default=SynthConfig.erp_amp_error)
+    p.add_argument("--confound-amp", type=float, default=12.0,
+                   help="rotation burst amplitude, default %(default)s "
+                   "(video1 has no rotations)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train the hierarchical model on a recording")
@@ -441,11 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--out-model", required=True)
     p.add_argument("--loss-trace", help="write per-epoch mean loss CSV here")
-    p.add_argument("--epochs", default=100)
-    p.add_argument("--batch-size", default=128)
-    p.add_argument("--learning-rate", default=0.001)
-    p.add_argument("--weight-decay", default=0.0001)
-    add_dataset_flags(p)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="fine-tune a pretrained model on calibration data")
@@ -454,33 +454,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--out-model", required=True)
-    p.add_argument("--calibration-epochs", default=10)
-    p.add_argument("--lr-scale", default=0.1)
-    p.add_argument("--batch-size", default=128)
-    p.add_argument("--learning-rate", default=0.001)
-    p.add_argument("--weight-decay", default=0.0001)
-    add_dataset_flags(p)
+    p.add_argument("--calibration-epochs", type=int, default=10)
+    p.add_argument("--lr-scale", type=float, default=0.1)
+    add_train_flags(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("serve", help="replay a recording over the wire protocol")
     add_common(p)
     p.add_argument("--recording", required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--port", required=True)
+    p.add_argument("--port", type=int, required=True)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--speed", default=1.0, type=float,
+    p.add_argument("--speed", type=float, default=1.0,
                    help="replay speed multiplier; inf disables pacing")
-    p.add_argument("--chunk-ms", default=40.0)
+    p.add_argument("--chunk-ms", type=float, default=40.0)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("infer-online", help="stream from a server and emit detections")
     add_common(p)
     p.add_argument("--connect", required=True, help="host:port of the replay server")
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", default=0.7)
-    p.add_argument("--consecutive", default=3)
-    p.add_argument("--refractory", default=250)
-    p.add_argument("--stride", default=25)
+    p.add_argument("--threshold", type=float, default=OnlineConfig.trigger_threshold)
+    p.add_argument("--consecutive", type=int, default=OnlineConfig.consecutive_required)
+    p.add_argument("--refractory", type=int, default=OnlineConfig.refractory)
+    p.add_argument("--stride", type=int, default=OnlineConfig.infer_stride)
     p.add_argument("--emit", help="write detections CSV here")
     p.set_defaults(func=cmd_infer_online)
 
@@ -488,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--detections", required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--fbeta-form", default="recall", choices=["recall", "literal"])
-    p.add_argument("--beta", default=2.0)
-    p.add_argument("--tolerance", default=DEFAULT_MATCH_TOLERANCE)
+    add_metric_flags(p)
+    p.add_argument("--tolerance", type=int, default=DEFAULT_MATCH_TOLERANCE)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze-erp", help="grand-average evoked waveforms to CSV")
@@ -498,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--channels", default="Cz,C3,C4")
-    p.add_argument("--horizon-s", default=3.0)
-    p.add_argument("--baseline-s", default=0.2)
+    p.add_argument("--horizon-s", type=float, default=3.0)
+    p.add_argument("--baseline-s", type=float, default=0.2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_erp)
 
@@ -510,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--layout-out", help="also write the 2-D montage layout CSV")
-    p.add_argument("--fbeta-form", default="recall", choices=["recall", "literal"])
-    p.add_argument("--beta", default=2.0)
+    add_metric_flags(p)
     add_dataset_flags(p)
     p.set_defaults(func=cmd_analyze_saliency)
 
@@ -530,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _setup_logging(args.log_level)
         return args.func(args)
-    except (FormatError, ValueError) as exc:
+    except (FormatError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

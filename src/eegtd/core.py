@@ -26,6 +26,9 @@ EEGR_VERSION = 1
 
 ROTATION_CSV_CODE = 100
 WEATHER_CSV_CODE = 101
+# Largest single request of `read_exact`: a header that declares a huge
+# payload costs memory only for the bytes that actually arrive.
+READ_CHUNK = 1 << 20
 
 
 class FormatError(ValueError):
@@ -162,21 +165,6 @@ class EventSchedule:
 
 
 @dataclass
-class LabelTrack:
-    """Per-sample class labels, aligned with a recording of equal length."""
-
-    labels: np.ndarray  # (n_samples,) int8 of ClassId values
-
-    def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be a 1-D vector")
-
-    def __len__(self) -> int:
-        return int(self.labels.shape[0])
-
-
-@dataclass
 class Epoch:
     """A fixed-length channels x time window with its class label."""
 
@@ -192,12 +180,20 @@ class Epoch:
             raise ValueError("epoch data contains non-finite values")
 
 
-def _read_exact(source: BinaryIO, n: int, what: str) -> bytes:
-    buf = source.read(n)
-    if buf is None or len(buf) != n:
-        got = 0 if buf is None else len(buf)
-        raise FormatError(f"truncated input reading {what}: wanted {n} bytes, got {got}")
-    return buf
+def read_exact(source: BinaryIO, n: int, what: str) -> bytes:
+    """Exactly n bytes of `source`, requested at most READ_CHUNK at a time;
+    FormatError if the input ends first."""
+    parts = []
+    got = 0
+    while got < n:
+        buf = source.read(min(n - got, READ_CHUNK))
+        if not buf:
+            raise FormatError(
+                f"truncated input reading {what}: wanted {n} bytes, got {got}"
+            )
+        parts.append(buf)
+        got += len(buf)
+    return b"".join(parts)
 
 
 def write_recording(rec: Recording, destination: BinaryIO) -> int:
@@ -218,11 +214,11 @@ def write_recording(rec: Recording, destination: BinaryIO) -> int:
 
 def read_recording(source: BinaryIO) -> Recording:
     """Parse an EEGR byte stream, validating every header field."""
-    magic = _read_exact(source, 4, "magic")
+    magic = read_exact(source, 4, "magic")
     if magic != EEGR_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {EEGR_MAGIC!r}")
     version, rate, n_channels, n_samples = struct.unpack(
-        "<IdIQ", _read_exact(source, 24, "header")
+        "<IdIQ", read_exact(source, 24, "header")
     )
     if version != EEGR_VERSION:
         raise FormatError(f"unsupported EEGR version {version}")
@@ -232,13 +228,13 @@ def read_recording(source: BinaryIO) -> Recording:
         raise FormatError("recording declares zero channels")
     names = []
     for i in range(n_channels):
-        (name_len,) = struct.unpack("<H", _read_exact(source, 2, f"name length {i}"))
-        raw = _read_exact(source, name_len, f"channel name {i}")
+        (name_len,) = struct.unpack("<H", read_exact(source, 2, f"name length {i}"))
+        raw = read_exact(source, name_len, f"channel name {i}")
         try:
             names.append(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"channel name {i} is not valid UTF-8") from exc
-    payload = _read_exact(source, 4 * n_channels * n_samples, "sample payload")
+    payload = read_exact(source, 4 * n_channels * n_samples, "sample payload")
     samples = (
         np.frombuffer(payload, dtype="<f4").reshape(n_samples, n_channels).T.copy()
     )
@@ -261,16 +257,10 @@ def write_schedule(schedule: EventSchedule, destination: TextIO) -> None:
         destination.write(f"{dyn.onset},{KIND_TO_CSV[dyn.kind]},{dyn.duration}\n")
 
 
-def read_schedule(
-    source: TextIO,
-    total_samples: int | None = None,
-    sampling_rate: float | None = None,
-) -> EventSchedule:
-    """Parse a schedule CSV.
-
-    The file's metadata comment supplies total_samples/sampling_rate; the
-    keyword arguments serve as fallbacks for files without the comment.
-    """
+def read_schedule(source: TextIO) -> EventSchedule:
+    """Parse a schedule CSV; its metadata comment supplies total_samples and
+    sampling_rate. Every malformed input raises FormatError."""
+    total_samples = sampling_rate = None
     lines = iter(source)
     header = None
     for raw in lines:
@@ -280,10 +270,13 @@ def read_schedule(
         if line.startswith("#"):
             for token in line[1:].split():
                 key, _, value = token.partition("=")
-                if key == "total_samples":
-                    total_samples = int(value)
-                elif key == "sampling_rate":
-                    sampling_rate = float(value)
+                try:
+                    if key == "total_samples":
+                        total_samples = int(value)
+                    elif key == "sampling_rate":
+                        sampling_rate = float(value)
+                except ValueError as exc:
+                    raise FormatError(f"bad schedule metadata {token!r}") from exc
             continue
         header = line
         break
@@ -291,8 +284,8 @@ def read_schedule(
         raise FormatError(f"bad schedule header {header!r}")
     if total_samples is None or sampling_rate is None:
         raise FormatError(
-            "schedule metadata missing: provide total_samples and sampling_rate "
-            "via the '#' comment line or as arguments"
+            "schedule metadata missing: the '#' comment line must give "
+            "total_samples and sampling_rate"
         )
     targets: list[Event] = []
     dynamics: list[DynamicsEvent] = []
@@ -303,13 +296,19 @@ def read_schedule(
             onset, code, duration = (int(cell) for cell in row)
         except (ValueError, TypeError) as exc:
             raise FormatError(f"unparsable schedule row {row_no}: {row!r}") from exc
-        if code in (int(ClassId.TRUE_TARGET), int(ClassId.ERROR_TARGET)):
-            targets.append(Event(onset, ClassId(code), duration))
-        elif code in _CSV_TO_KIND:
-            dynamics.append(DynamicsEvent(onset, _CSV_TO_KIND[code], duration))
-        else:
-            raise FormatError(f"row {row_no}: class code {code} not in {{1,2,100,101}}")
-    return EventSchedule(total_samples, sampling_rate, targets, dynamics)
+        try:
+            if code in (int(ClassId.TRUE_TARGET), int(ClassId.ERROR_TARGET)):
+                targets.append(Event(onset, ClassId(code), duration))
+            elif code in _CSV_TO_KIND:
+                dynamics.append(DynamicsEvent(onset, _CSV_TO_KIND[code], duration))
+            else:
+                raise FormatError(f"class code {code} not in {{1,2,100,101}}")
+        except ValueError as exc:
+            raise FormatError(f"row {row_no}: {exc}") from exc
+    try:
+        return EventSchedule(total_samples, sampling_rate, targets, dynamics)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def load_recording(path) -> Recording:

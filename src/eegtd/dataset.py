@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eegtd.core import ClassId, Epoch, EventSchedule, LabelTrack, Recording
+from eegtd.core import ClassId, Epoch, EventSchedule, Recording
 from eegtd.seeding import child_seed
 
 
@@ -42,20 +42,29 @@ class DatasetConfig:
         return self.window_len // self.stride
 
 
-def assign_labels(schedule: EventSchedule) -> LabelTrack:
-    """Per-sample labels: class over each half-open event span, else 0."""
+def check_same_length(rec: Recording, schedule: EventSchedule) -> None:
+    """DatasetError unless the schedule spans exactly the recording."""
+    if schedule.total_samples != rec.n_samples:
+        raise DatasetError(
+            f"schedule length does not match recording: {schedule.total_samples} "
+            f"vs {rec.n_samples} samples"
+        )
+
+
+def assign_labels(schedule: EventSchedule) -> np.ndarray:
+    """Per-sample int8 labels: class over each half-open event span, else 0."""
     labels = np.zeros(schedule.total_samples, dtype=np.int8)
     for ev in schedule.targets:
         labels[ev.onset : ev.end] = int(ev.class_id)
-    return LabelTrack(labels)
+    return labels
 
 
-def class_ratio(track: LabelTrack) -> np.ndarray:
-    """Fractions of the three classes; sums to 1."""
-    if len(track) == 0:
+def class_ratio(labels: np.ndarray) -> np.ndarray:
+    """Fractions of the three classes in a label track; sums to 1."""
+    if len(labels) == 0:
         raise DatasetError("empty label track")
-    counts = np.bincount(track.labels, minlength=3).astype(np.float64)
-    return counts / len(track)
+    counts = np.bincount(labels, minlength=3).astype(np.float64)
+    return counts / len(labels)
 
 
 def augment_minority(
@@ -89,12 +98,11 @@ def sample_nontarget(
 ) -> list[Epoch]:
     """nontarget_per_event seeded epochs per target event, disjoint from all
     target spans."""
-    labels = assign_labels(schedule).labels
-    if len(labels) != rec.n_samples:
-        raise DatasetError("schedule length does not match recording")
+    check_same_length(rec, schedule)
     quota = cfg.nontarget_per_event * len(schedule.targets)
     if quota == 0:
         return []
+    labels = assign_labels(schedule)
     w = cfg.window_len
     if rec.n_samples < w:
         raise DatasetError("recording shorter than one window")

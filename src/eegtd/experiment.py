@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-
 from eegtd.core import (
     EventSchedule,
     Recording,
@@ -39,7 +38,9 @@ from eegtd.model import (
 )
 from eegtd.seeding import child_seed
 from eegtd.stream import OnlineConfig, ReplayServer, stream_online_inference
-from eegtd.synth import SynthConfig, profile_by_name, make_schedule, render_eeg
+from eegtd.synth import (
+    StimulusProfile, SynthConfig, make_schedule, profile_by_name, render_eeg,
+)
 
 log = logging.getLogger("eegtd.experiment")
 
@@ -72,15 +73,20 @@ class ExperimentResult:
     test_schedule_path: Path
 
 
+def render_session(
+    profile: StimulusProfile, synth: SynthConfig, seed: int
+) -> tuple[Recording, EventSchedule]:
+    """One session of `profile`: its schedule and its EEG come from the
+    "schedule" and "eeg" sub-streams of `seed`."""
+    schedule = make_schedule(profile, child_seed(seed, "schedule"))
+    synth_cfg = replace(synth, seed=child_seed(seed, "eeg"))
+    return render_eeg(schedule, synth_cfg), schedule
+
+
 def generate_session(
     cfg: ExperimentConfig, session_seed: int
 ) -> tuple[Recording, EventSchedule]:
-    profile = profile_by_name(cfg.profile)
-    schedule = make_schedule(
-        profile, child_seed(session_seed, "schedule"), cfg.synth.sampling_rate
-    )
-    synth_cfg = replace(cfg.synth, seed=child_seed(session_seed, "eeg"))
-    return render_eeg(schedule, synth_cfg), schedule
+    return render_session(profile_by_name(cfg.profile), cfg.synth, session_seed)
 
 
 def pretrain_model(

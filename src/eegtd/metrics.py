@@ -17,7 +17,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from eegtd.core import ClassId, EventSchedule, FormatError, LabelTrack
+from eegtd.core import ClassId, EventSchedule, FormatError
 
 DEFAULT_MATCH_TOLERANCE = 375  # samples: 1.5 s at 250 Hz
 
@@ -108,14 +108,14 @@ def macro_f_beta(cm: ConfusionMatrix, cfg: MetricConfig = MetricConfig()) -> flo
     return float(np.mean(scores))
 
 
-def window_confusion(truth: LabelTrack, predicted: LabelTrack) -> ConfusionMatrix:
-    """Per-sample confusion counts between two equal-length label tracks."""
+def window_confusion(truth: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
+    """Per-sample confusion counts between two equal-length label arrays."""
     if len(truth) != len(predicted):
         raise ValueError(
             f"track lengths differ: {len(truth)} vs {len(predicted)}"
         )
     joint = np.bincount(
-        truth.labels.astype(np.int64) * 3 + predicted.labels.astype(np.int64),
+        np.asarray(truth, dtype=np.int64) * 3 + np.asarray(predicted, dtype=np.int64),
         minlength=9,
     )
     return ConfusionMatrix(joint.reshape(3, 3))

@@ -23,7 +23,7 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eegtd.core import ClassId, Epoch, FormatError
+from eegtd.core import ClassId, Epoch, FormatError, read_exact
 from eegtd.seeding import child_seed
 
 HMDL_MAGIC = b"HMDL"
@@ -31,6 +31,10 @@ HMDL_VERSION = 1
 LOSS_EPS = 1e-12
 # Windows per forward pass in predict_batch; bounds the im2col buffer.
 PREDICT_CHUNK = 256
+# Adam moment decays and denominator guard (the usual defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _loss_clamp_count = 0
 
@@ -159,9 +163,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     weight_decay: float = 0.0001
     epochs: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -169,8 +170,6 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("rates must be non-negative")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
 
 
 def standardize(epoch_data: np.ndarray) -> np.ndarray:
@@ -555,15 +554,15 @@ def train(
                     "check input scaling and learning rate"
                 )
             step += 1
-            bc1 = 1.0 - cfg.adam_beta1**step
-            bc2 = 1.0 - cfg.adam_beta2**step
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
             for stage_name, name, value in _iter_params(model):
                 g = grads[stage_name][name]
                 m = adam_m[stage_name][name]
                 v = adam_v[stage_name][name]
-                m += (1.0 - cfg.adam_beta1) * (g - m)
-                v += (1.0 - cfg.adam_beta2) * (g * g - v)
-                update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+                m += (1.0 - ADAM_BETA1) * (g - m)
+                v += (1.0 - ADAM_BETA2) * (g * g - v)
+                update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
                 value -= cfg.learning_rate * update
                 value -= cfg.learning_rate * cfg.weight_decay * value
             loss_sum += mean_loss * len(idx)
@@ -620,22 +619,18 @@ def save_model(model: HierarchicalModel, destination: BinaryIO) -> int:
 
 
 def load_model(source: BinaryIO) -> HierarchicalModel:
-    def read_exact(n: int, what: str) -> bytes:
-        buf = source.read(n)
-        if buf is None or len(buf) != n:
-            raise FormatError(f"truncated model file reading {what}")
-        return buf
-
-    magic = read_exact(4, "magic")
+    magic = read_exact(source, 4, "magic")
     if magic != HMDL_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {HMDL_MAGIC!r}")
     (version, n_channels, window_len, temporal_filters, kernel_len, pool_len,
      dense_hidden, dropout_rate, n_blocks) = struct.unpack(
-        "<IIIIIIIdI", read_exact(40, "header")
+        "<IIIIIIIdI", read_exact(source, 40, "header")
     )
     if version != HMDL_VERSION:
         raise FormatError(f"unsupported model version {version}")
-    deep = struct.unpack(f"<{n_blocks}I", read_exact(4 * n_blocks, "deep filters"))
+    deep = struct.unpack(
+        f"<{n_blocks}I", read_exact(source, 4 * n_blocks, "deep filters")
+    )
     try:
         cfg = NetConfig(
             n_channels=n_channels,
@@ -653,8 +648,8 @@ def load_model(source: BinaryIO) -> HierarchicalModel:
     for stage_name in ("stage_a", "stage_b"):
         params = {}
         for name, shape in param_shapes(cfg):
-            count = int(np.prod(shape))
-            blob = read_exact(8 * count, f"{stage_name}.{name}")
+            count = math.prod(shape)
+            blob = read_exact(source, 8 * count, f"{stage_name}.{name}")
             params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
         stages.append(StageNet(params))
     return HierarchicalModel(stages[0], stages[1], cfg)

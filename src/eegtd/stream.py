@@ -397,11 +397,21 @@ def client_receive(
     timeout_s: float = 30.0,
 ) -> StreamSummary:
     """Receive one full session, validating order and continuity; every Data
-    block is handed to `sink` in order."""
+    block is handed to `sink` in order. A reset or stalled connection raises
+    ConnectionLost; an error raised by `sink` propagates unchanged."""
     host, port = _parse_endpoint(endpoint)
     t_start = time.monotonic()
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
-        reader = EspStreamReader(sock.recv)
+
+        def recv(n: int) -> bytes:
+            try:
+                return sock.recv(n)
+            except OSError as exc:  # a reset, or a peer silent past timeout_s
+                raise ConnectionLost(
+                    f"connection lost: {exc}", reader.frames_delivered
+                ) from exc
+
+        reader = EspStreamReader(recv)
         if not isinstance(reader.next_message(), StartMessage):
             raise ProtocolError("stream did not begin with Start")
         n_blocks = 0

@@ -3,10 +3,10 @@ EEG with class-dependent evoked templates plus video-dynamics confounders.
 
 Signal model: per-channel low-pass-filtered Gaussian background (optionally
 gain-modulated by weather shifts), plus for every target event a spatially
-weighted double-bump evoked template centered on `spatial_peak_target`, plus
-for every camera rotation a broadband oscillatory burst centered on
-`spatial_peak_confound`. Every event contribution depends only on the event
-itself, so recordings superpose additively.
+weighted double-bump evoked template centered on `TARGET_PEAK`, plus for
+every camera rotation a broadband oscillatory burst centered on
+`CONFOUND_PEAK`. Every event contribution depends only on the event itself,
+so recordings superpose additively.
 """
 
 from __future__ import annotations
@@ -44,6 +44,19 @@ N_SHARED_NOISE_MODES = 4
 ROTATION_CARRIER_HZ = (6.0, 11.0, 17.0)  # integer Hz keeps bursts phase-locked
 WEATHER_PERIOD_S = 60.0
 WEATHER_DEPTH = 0.2
+ROTATION_DURATION_S = 3.0
+# Every session is rendered on the full 32-channel montage at 250 Hz.
+SAMPLING_RATE = 250.0
+# Evoked template: an N200 trough then a P300 peak, as raised-cosine bumps
+# of one half-width; amplitudes in microvolts.
+N200_AMP = -4.0
+N200_LATENCY_S = 0.20
+ERP_LATENCY_S = 0.30
+ERP_WIDTH_S = 0.08
+# Scalp centres and Gaussian falloff of the evoked and rotation sources.
+TARGET_PEAK = "Cz"
+CONFOUND_PEAK = "Oz"
+SPATIAL_SIGMA = 0.35
 
 
 class SynthError(ValueError):
@@ -58,7 +71,6 @@ class StimulusProfile:
     length_s: float
     events_per_class: int
     rotation_period_s: float | None = None
-    rotation_duration_s: float = 3.0
     weather_drift: bool = False
 
     def __post_init__(self) -> None:
@@ -115,57 +127,28 @@ def profile_by_name(name: str, events_per_class: int | None = None) -> StimulusP
 class SynthConfig:
     """Knobs of the synthetic EEG renderer. Amplitudes in microvolts."""
 
-    n_channels: int = 32
-    sampling_rate: float = 250.0
     background_sigma: float = 10.0
     erp_amp_true: float = 8.0
     erp_amp_error: float = 5.0
-    erp_latency_s: float = 0.30
-    erp_width_s: float = 0.08
-    n200_amp: float = -4.0
-    n200_latency_s: float = 0.20
     confound_amp: float = 0.0
-    spatial_peak_target: str = "Cz"
-    spatial_peak_confound: str = "Oz"
-    spatial_sigma: float = 0.35
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (1 <= self.n_channels <= len(CHANNEL_NAMES)):
-            raise ValueError(f"n_channels must be in [1, {len(CHANNEL_NAMES)}]")
-        if self.sampling_rate <= 0:
-            raise ValueError("sampling_rate must be positive")
         for name in ("background_sigma", "erp_amp_true", "erp_amp_error",
-                     "n200_amp", "confound_amp"):
+                     "confound_amp"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.background_sigma < 0:
             raise ValueError("background_sigma must be >= 0")
-        if not 0 < self.erp_width_s < 1.0:
-            raise ValueError("erp_width_s must be in (0, 1) seconds")
-        for name in ("erp_latency_s", "n200_latency_s"):
-            if not 0 <= getattr(self, name) < 3.0:
-                raise ValueError(f"{name} must lie within the 3 s analysis horizon")
-        for label in (self.spatial_peak_target, self.spatial_peak_confound):
-            if label not in CHANNEL_NAMES:
-                raise ValueError(f"unknown channel label {label!r}")
-        if self.spatial_sigma <= 0:
-            raise ValueError("spatial_sigma must be positive")
-
-    @property
-    def channel_names(self) -> list[str]:
-        return list(CHANNEL_NAMES[: self.n_channels])
 
 
-def make_schedule(
-    profile: StimulusProfile, seed: int, sampling_rate: float = 250.0
-) -> EventSchedule:
+def make_schedule(profile: StimulusProfile, seed: int) -> EventSchedule:
     """Place targets uniformly with >= 3 s onset separation, plus dynamics.
 
     Deterministic given (profile, seed). Camera rotations repeat on the
     profile's period from t=0; one weather shift spans the second half.
     """
-    rate = sampling_rate
+    rate = SAMPLING_RATE
     total = int(round(profile.length_s * rate))
     n_events = 2 * profile.events_per_class
     sep = int(round(MIN_SEPARATION_S * rate))
@@ -193,7 +176,7 @@ def make_schedule(
     dynamics: list[DynamicsEvent] = []
     if profile.rotation_period_s is not None:
         period = int(round(profile.rotation_period_s * rate))
-        rot_len = int(round(profile.rotation_duration_s * rate))
+        rot_len = int(round(ROTATION_DURATION_S * rate))
         for onset in range(0, total, period):
             if onset + rot_len <= total:
                 dynamics.append(
@@ -238,17 +221,17 @@ def erp_template(cfg: SynthConfig, class_id: ClassId) -> np.ndarray:
         amp = cfg.erp_amp_error
     else:
         raise ValueError("non-target class has no evoked template")
-    support_s = max(cfg.n200_latency_s, cfg.erp_latency_s) + cfg.erp_width_s
-    n = int(round(support_s * cfg.sampling_rate)) + 1
-    t = np.arange(n) / cfg.sampling_rate
-    return cfg.n200_amp * _raised_cosine_bump(
-        t, cfg.n200_latency_s, cfg.erp_width_s
-    ) + amp * _raised_cosine_bump(t, cfg.erp_latency_s, cfg.erp_width_s)
+    support_s = max(N200_LATENCY_S, ERP_LATENCY_S) + ERP_WIDTH_S
+    n = int(round(support_s * SAMPLING_RATE)) + 1
+    t = np.arange(n) / SAMPLING_RATE
+    return N200_AMP * _raised_cosine_bump(
+        t, N200_LATENCY_S, ERP_WIDTH_S
+    ) + amp * _raised_cosine_bump(t, ERP_LATENCY_S, ERP_WIDTH_S)
 
 
 def rotation_burst(cfg: SynthConfig, onset: int, duration: int) -> np.ndarray:
     """Hann-enveloped multi-sine burst evaluated at absolute stream time."""
-    t_abs = (onset + np.arange(duration)) / cfg.sampling_rate
+    t_abs = (onset + np.arange(duration)) / SAMPLING_RATE
     carrier = np.zeros(duration)
     for f in ROTATION_CARRIER_HZ:
         carrier += np.sin(2.0 * np.pi * f * t_abs)
@@ -258,16 +241,13 @@ def rotation_burst(cfg: SynthConfig, onset: int, duration: int) -> np.ndarray:
 
 def render_eeg(schedule: EventSchedule, cfg: SynthConfig) -> Recording:
     """Render background + target templates + rotation bursts into a Recording."""
-    if abs(schedule.sampling_rate - cfg.sampling_rate) > 1e-9:
+    if abs(schedule.sampling_rate - SAMPLING_RATE) > 1e-9:
         raise SynthError(
-            f"schedule rate {schedule.sampling_rate} != config rate {cfg.sampling_rate}"
+            f"schedule rate {schedule.sampling_rate} != render rate {SAMPLING_RATE}"
         )
-    labels = cfg.channel_names
-    for peak in (cfg.spatial_peak_target, cfg.spatial_peak_confound):
-        if peak not in labels:
-            raise SynthError(f"unknown channel label {peak!r} for {cfg.n_channels} channels")
+    labels = list(CHANNEL_NAMES)
     n = schedule.total_samples
-    x = np.zeros((cfg.n_channels, n), dtype=np.float64)
+    x = np.zeros((len(labels), n), dtype=np.float64)
 
     if cfg.background_sigma > 0:
         rng = np.random.default_rng(cfg.seed)
@@ -279,7 +259,7 @@ def render_eeg(schedule: EventSchedule, cfg: SynthConfig) -> Recording:
         )
         own = lfilter(
             [scale], [1.0, -a],
-            rng.standard_normal((cfg.n_channels, n)), axis=1,
+            rng.standard_normal((len(labels), n)), axis=1,
         )
         mixing = _shared_noise_mixing(labels)
         bg = mixing @ shared
@@ -287,24 +267,24 @@ def render_eeg(schedule: EventSchedule, cfg: SynthConfig) -> Recording:
         bg *= cfg.background_sigma
         for dyn in schedule.dynamics:
             if dyn.kind == DynamicsKind.WEATHER_SHIFT:
-                t_rel = np.arange(dyn.duration) / cfg.sampling_rate
+                t_rel = np.arange(dyn.duration) / SAMPLING_RATE
                 gain = 1.0 + WEATHER_DEPTH * np.sin(
                     2.0 * np.pi * t_rel / WEATHER_PERIOD_S
                 )
                 bg[:, dyn.onset : dyn.end] *= gain
         x += bg
 
-    w_target = spatial_weights(cfg.spatial_peak_target, labels, cfg.spatial_sigma)
+    w_target = spatial_weights(TARGET_PEAK, labels, SPATIAL_SIGMA)
     for ev in schedule.targets:
         g = erp_template(cfg, ev.class_id)
         span = min(len(g), n - ev.onset)
         x[:, ev.onset : ev.onset + span] += np.outer(w_target, g[:span])
 
     if cfg.confound_amp != 0.0:
-        w_conf = spatial_weights(cfg.spatial_peak_confound, labels, cfg.spatial_sigma)
+        w_conf = spatial_weights(CONFOUND_PEAK, labels, SPATIAL_SIGMA)
         for dyn in schedule.dynamics:
             if dyn.kind == DynamicsKind.CAMERA_ROTATION:
                 burst = rotation_burst(cfg, dyn.onset, dyn.duration)
                 x[:, dyn.onset : dyn.end] += np.outer(w_conf, burst)
 
-    return Recording(cfg.sampling_rate, labels, x.astype(np.float32))
+    return Recording(SAMPLING_RATE, labels, x.astype(np.float32))

@@ -109,6 +109,12 @@ class TestGrandAverage:
         with pytest.raises(ValueError, match="unknown channel"):
             grand_average_erp(rec, sched, ["Zz9"])
 
+    def test_schedule_length_mismatch(self):
+        rec = render_eeg(EventSchedule(2000, 250.0, [], []), SynthConfig(seed=1))
+        sched = EventSchedule(1000, 250.0, [Event(100, ClassId.TRUE_TARGET, 250)], [])
+        with pytest.raises(ValueError, match="does not match"):
+            grand_average_erp(rec, sched, ["Cz"], horizon_s=1.0)
+
     def test_event_too_close_to_edge_skipped(self):
         sched = EventSchedule(
             5000, 250.0,

@@ -2,17 +2,25 @@
 
 import io
 import os
+import socket
 import subprocess
 import sys
+import threading
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eegtd
-from eegtd.cli import build_parser, main
+from eegtd.cli import (
+    _dataset_config, _metric_config, _train_config, build_parser, main,
+)
 from eegtd.core import ClassId, Event, EventSchedule, load_recording, load_schedule, save_schedule
-from eegtd.metrics import Detection, write_detections_csv
+from eegtd.dataset import DatasetConfig
+from eegtd.metrics import Detection, MetricConfig, write_detections_csv
+from eegtd.model import NetConfig, TrainConfig, init_model, save_model
+from eegtd.stream import OnlineConfig
 
 
 def run_cli(args: list[str], capsys) -> tuple[int, str]:
@@ -146,6 +154,29 @@ class TestParser:
         assert code == 1
 
 
+class TestFlagTypes:
+    def test_numeric_flags_parse_to_numbers(self):
+        args = build_parser().parse_args(
+            ["generate", "--profile", "video1", "--out-prefix", "x",
+             "--seed", "3", "--events-per-class", "4", "--confound-amp", "2"]
+        )
+        assert (args.seed, args.events_per_class, args.confound_amp) == (3, 4, 2.0)
+        assert isinstance(args.confound_amp, float)
+
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        train = parser.parse_args(
+            ["train", "--recording", "r", "--schedule", "s", "--out-model", "m"]
+        )
+        assert _dataset_config(train) == DatasetConfig()
+        assert _train_config(train, seed=0, epochs=train.epochs) == TrainConfig()
+        online = parser.parse_args(["infer-online", "--connect", "h:1", "--model", "m"])
+        assert (online.stride, online.threshold, online.consecutive,
+                online.refractory) == astuple(OnlineConfig())
+        evaluate = parser.parse_args(["evaluate", "--detections", "d", "--schedule", "s"])
+        assert _metric_config(evaluate) == MetricConfig()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "conf"
@@ -164,6 +195,15 @@ class TestConfigFile:
             capsys,
         )
         assert Path(f"{prefix}.eegr").read_bytes() == Path(f"{direct}.eegr").read_bytes()
+
+    def test_unparsable_config_value_names_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "conf"
+        cfg.write_text("epochs=many\n")
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(cfg), "--recording", "r",
+                  "--schedule", "s", "--out-model", "m"])
+        assert info.value.code == 2
+        assert "--epochs" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "conf"
@@ -254,6 +294,33 @@ class TestTrainAndDownstream:
         )
         assert code == 0
         assert out.read_text().startswith("class,channel,time_s,value_uv")
+
+
+class TestInferOnlineErrors:
+    def test_protocol_error_is_one_line(self, tmp_path, capsys):
+        model_path = tmp_path / "m.hmdl"
+        net = NetConfig(n_channels=2, window_len=20, temporal_filters=2,
+                        deep_filters=(2,), kernel_len=3, pool_len=2, dense_hidden=4)
+        with open(model_path, "wb") as fh:
+            save_model(init_model(net, seed=1), fh)
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+
+        def bad_magic():
+            with listener:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.sendall(b"NOPE" + bytes(12))
+
+        peer = threading.Thread(target=bad_magic, daemon=True)
+        peer.start()
+        code = main(["infer-online", "--connect", f"{host}:{port}",
+                     "--model", str(model_path)])
+        peer.join(10.0)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: bad magic" in err
+        assert "Traceback" not in err
 
 
 class TestServeInferOnline:

@@ -1,6 +1,7 @@
 """Recording/schedule types and their file formats."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from eegtd.core import (
     write_recording,
     write_schedule,
 )
+from eegtd.model import HMDL_MAGIC, HMDL_VERSION, load_model
 
 
 def small_recording() -> Recording:
@@ -112,8 +114,53 @@ class TestEegrFormat:
     def test_fuzz_only_typed_errors(self, blob):
         try:
             read_recording(io.BytesIO(blob))
-        except (FormatError, ValueError):
+        except FormatError:
             pass
+
+
+class CappedReader(io.BytesIO):
+    """A file that fails any single read of more than 16 MiB: a reader that
+    trusts a declared length would ask for all of it at once."""
+
+    CAP = 16 << 20
+
+    def read(self, n=-1):
+        assert 0 <= n <= self.CAP, f"read({n}) exceeds the cap"
+        return super().read(n)
+
+
+def hmdl_header(n_channels: int, n_blocks: int) -> bytes:
+    head = HMDL_MAGIC + struct.pack(
+        "<IIIIIIIdI", HMDL_VERSION, n_channels, 250, 8, 10, 3, 32, 0.1, n_blocks
+    )
+    return head + struct.pack("<2I", 8, 16)
+
+
+class TestBoundedReads:
+    @pytest.mark.parametrize("n_samples", [1 << 40, 1 << 62])
+    def test_eegr_huge_sample_count(self, n_samples):
+        header = b"EEGR" + struct.pack("<IdIQ", 1, 250.0, 1, n_samples)
+        blob = header + struct.pack("<H", 2) + b"Cz" + b"\x00" * 64
+        with pytest.raises(FormatError, match="truncated"):
+            read_recording(CappedReader(blob))
+
+    @pytest.mark.parametrize(
+        "n_channels, n_blocks", [(1 << 31, 2), (32, (1 << 32) - 1)]
+    )
+    def test_hmdl_huge_declared_size(self, n_channels, n_blocks):
+        blob = hmdl_header(n_channels, n_blocks) + b"\x00" * 4096
+        with pytest.raises(FormatError, match="truncated"):
+            load_model(CappedReader(blob))
+
+    def test_short_reads_are_joined(self):
+        class Trickle(io.BytesIO):
+            def read(self, n=-1):
+                return super().read(min(n, 3))
+
+        buf = io.BytesIO()
+        write_recording(small_recording(), buf)
+        back = read_recording(Trickle(buf.getvalue()))
+        assert np.array_equal(back.samples, small_recording().samples)
 
 
 class TestScheduleTypes:
@@ -205,15 +252,42 @@ class TestScheduleCsv:
         with pytest.raises(FormatError, match="metadata"):
             read_schedule(io.StringIO("onset,class,duration\n1000,1,250\n"))
 
-    def test_metadata_from_arguments(self):
-        text = "onset,class,duration\n1000,1,250\n"
-        sched = read_schedule(io.StringIO(text), total_samples=75000, sampling_rate=250.0)
-        assert sched.total_samples == 75000
+    @pytest.mark.parametrize(
+        "meta, row, message",
+        [
+            ("total_samples=many sampling_rate=250.0", "", "metadata"),
+            ("total_samples=75000 sampling_rate=250.0", "-5,1,250", "row 1: event onset"),
+            ("total_samples=75000 sampling_rate=250.0", "1000,101,0", "row 1: dynamics duration"),
+            ("total_samples=2000 sampling_rate=250.0", "1900,1,250", "exceeds"),
+            ("total_samples=0 sampling_rate=250.0", "", "total_samples"),
+            ("total_samples=75000 sampling_rate=nan", "", "sampling_rate"),
+        ],
+    )
+    def test_invalid_content_is_format_error(self, meta, row, message):
+        text = f"# {meta}\nonset,class,duration\n{row}\n"
+        with pytest.raises(FormatError, match=message):
+            read_schedule(io.StringIO(text))
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=300))
     def test_fuzz_only_typed_errors(self, text):
         try:
             read_schedule(io.StringIO(text))
-        except (FormatError, ValueError):
+        except FormatError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-3, 3000), st.sampled_from([1, 2, 7, 100, 101]),
+        st.integers(-3, 3000), st.sampled_from(["2500", "0", "-1", "x"]),
+        st.sampled_from(["250.0", "0", "nan", "inf", "y"]),
+    )
+    def test_fuzz_rows_only_format_errors(self, onset, code, duration, total, rate):
+        text = (
+            f"# total_samples={total} sampling_rate={rate}\n"
+            f"onset,class,duration\n{onset},{code},{duration}\n"
+        )
+        try:
+            read_schedule(io.StringIO(text))
+        except FormatError:
             pass

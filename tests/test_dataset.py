@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegtd import dataset
 from eegtd.core import ClassId, Event, EventSchedule, Recording
 from eegtd.dataset import (
     DatasetConfig,
@@ -45,11 +46,11 @@ class TestAssignLabels:
     def test_half_open_span(self):
         sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
         track = assign_labels(sched)
-        assert track.labels[999] == 0
-        assert track.labels[1000] == 1
-        assert track.labels[1249] == 1
-        assert track.labels[1250] == 0
-        assert int((track.labels == 1).sum()) == 250
+        assert track[999] == 0
+        assert track[1000] == 1
+        assert track[1249] == 1
+        assert track[1250] == 0
+        assert int((track == 1).sum()) == 250
 
     def test_video2n_class_fractions(self):
         ratio = class_ratio(assign_labels(video2n_shaped_schedule()))
@@ -64,7 +65,7 @@ class TestAssignLabels:
             events.append(Event(slot * 500, cls, 250))
         sched = EventSchedule(50000, RATE, events, [])
         track = assign_labels(sched)
-        counts = np.bincount(track.labels, minlength=3)
+        counts = np.bincount(track, minlength=3)
         assert counts.sum() == 50000
 
 
@@ -77,16 +78,14 @@ class TestClassRatio:
         sched = video2n_shaped_schedule()
         track = assign_labels(sched)
         manual = [0, 0, 0]
-        for v in track.labels:
+        for v in track:
             manual[v] += 1
         assert class_ratio(track) == pytest.approx(np.array(manual) / 120000)
         assert manual[1] == 7500 and manual[2] == 7500
 
     def test_empty_track_error(self):
-        from eegtd.core import LabelTrack
-
         with pytest.raises(DatasetError):
-            class_ratio(LabelTrack(np.array([], dtype=np.int8)))
+            class_ratio(np.array([], dtype=np.int8))
 
 
 class TestAugmentMinority:
@@ -168,6 +167,16 @@ class TestSampleNontarget:
         sched = EventSchedule(501, RATE, [Event(251, ClassId.TRUE_TARGET, 250)], [])
         # exactly two candidate starts (0 and 1) but quota is 14
         with pytest.raises(DatasetError, match="insufficient"):
+            sample_nontarget(rec, sched, DatasetConfig(), seed=1)
+
+    def test_length_checked_before_labels_are_built(self, monkeypatch):
+        def no_labels(schedule):
+            raise AssertionError("label track built before the length check")
+
+        monkeypatch.setattr(dataset, "assign_labels", no_labels)
+        rec = flat_recording(2000)
+        sched = EventSchedule(1000, RATE, [Event(100, ClassId.TRUE_TARGET, 250)], [])
+        with pytest.raises(DatasetError, match="does not match"):
             sample_nontarget(rec, sched, DatasetConfig(), seed=1)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegtd.core import ClassId, Event, EventSchedule, LabelTrack
+from eegtd.core import ClassId, Event, EventSchedule
 from eegtd.metrics import (
     ConfusionMatrix,
     Detection,
@@ -142,13 +142,13 @@ class TestMacroFBeta:
 
 class TestWindowConfusion:
     def test_identical_tracks_diagonal(self):
-        track = LabelTrack(np.array([0, 0, 1, 1, 2], dtype=np.int8))
+        track = np.array([0, 0, 1, 1, 2], dtype=np.int8)
         cm = window_confusion(track, track)
         assert np.array_equal(cm.counts, np.diag([2, 2, 1]))
 
     def test_disjoint_constant_tracks(self):
-        truth = LabelTrack(np.zeros(5, dtype=np.int8))
-        pred = LabelTrack(np.full(5, 2, dtype=np.int8))
+        truth = np.zeros(5, dtype=np.int8)
+        pred = np.full(5, 2, dtype=np.int8)
         cm = window_confusion(truth, pred)
         expected = np.zeros((3, 3), dtype=np.int64)
         expected[0, 2] = 5
@@ -156,18 +156,15 @@ class TestWindowConfusion:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
-            window_confusion(
-                LabelTrack(np.zeros(4, dtype=np.int8)),
-                LabelTrack(np.zeros(5, dtype=np.int8)),
-            )
+            window_confusion(np.zeros(4, dtype=np.int8), np.zeros(5, dtype=np.int8))
 
     def test_random_tracks_vs_linear_scan(self):
         rng = np.random.default_rng(3)
-        truth = LabelTrack(rng.integers(0, 3, 500).astype(np.int8))
-        pred = LabelTrack(rng.integers(0, 3, 500).astype(np.int8))
+        truth = rng.integers(0, 3, 500).astype(np.int8)
+        pred = rng.integers(0, 3, 500).astype(np.int8)
         cm = window_confusion(truth, pred)
         manual = np.zeros((3, 3), dtype=np.int64)
-        for t, p in zip(truth.labels, pred.labels):
+        for t, p in zip(truth, pred):
             manual[t, p] += 1
         assert np.array_equal(cm.counts, manual)
 

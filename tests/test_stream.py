@@ -326,6 +326,71 @@ class TestReplayServer:
             ReplayServer(rec, schedule)
 
 
+def one_shot_peer(behaviour) -> tuple[tuple[str, int], threading.Thread]:
+    """A loopback listener that hands its first connection to `behaviour` in
+    a thread; returns the endpoint and the thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                behaviour(conn)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return listener.getsockname()[:2], thread
+
+
+class TestTransportErrors:
+    START = encode_message(StartMessage(250.0, 2, ("Cz", "Oz")))
+    BLOCK = encode_message(DataMessage(0, np.zeros((10, 2), dtype=np.float32)))
+
+    def test_reset_after_start_is_connection_lost(self):
+        received = threading.Event()
+
+        def reset(conn):
+            conn.sendall(self.START + self.BLOCK)
+            received.wait(10.0)
+            # linger 0: close sends RST instead of FIN
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+        endpoint, thread = one_shot_peer(reset)
+        with pytest.raises(ConnectionLost) as info:
+            client_receive(endpoint, lambda msg: received.set(), timeout_s=10.0)
+        thread.join(10.0)
+        assert info.value.frames_received == 10
+
+    def test_stall_past_timeout_is_connection_lost(self):
+        release = threading.Event()
+
+        def stall(conn):
+            conn.sendall(self.START + self.BLOCK)
+            release.wait(10.0)
+
+        endpoint, thread = one_shot_peer(stall)
+        try:
+            with pytest.raises(ConnectionLost) as info:
+                client_receive(endpoint, lambda msg: None, timeout_s=0.3)
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert info.value.frames_received == 10
+
+    def test_sink_errors_are_not_mapped(self):
+        def send_all(conn):
+            conn.sendall(self.START + self.BLOCK)
+
+        def sink(msg):
+            raise OSError("sink failed")
+
+        endpoint, thread = one_shot_peer(send_all)
+        with pytest.raises(OSError, match="sink failed") as info:
+            client_receive(endpoint, sink, timeout_s=10.0)
+        thread.join(10.0)
+        assert not isinstance(info.value, ProtocolError)
+
+
 def step_stub(recording: Recording):
     """Probs (0,1,0) iff the window's first sample sits inside an event span
     (channel 0 of the recording carries a 1.0 flag there)."""
