@@ -205,7 +205,7 @@ def cmd_infer_online(args) -> int:
     with open(args.model, "rb") as fh:
         model = load_model(fh)
     cfg = OnlineConfig(
-        infer_stride=args.stride,
+        infer_stride=args.infer_stride,
         trigger_threshold=args.threshold,
         consecutive_required=args.consecutive,
         refractory=args.refractory,
@@ -477,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=OnlineConfig.trigger_threshold)
     p.add_argument("--consecutive", type=int, default=OnlineConfig.consecutive_required)
     p.add_argument("--refractory", type=int, default=OnlineConfig.refractory)
-    p.add_argument("--stride", type=int, default=OnlineConfig.infer_stride)
+    p.add_argument("--infer-stride", type=int, default=OnlineConfig.infer_stride,
+                   help="classify the latest window every this many new samples")
     p.add_argument("--emit", help="write detections CSV here")
     p.set_defaults(func=cmd_infer_online)
 

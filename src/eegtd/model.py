@@ -29,7 +29,7 @@ from eegtd.seeding import child_seed
 HMDL_MAGIC = b"HMDL"
 HMDL_VERSION = 1
 LOSS_EPS = 1e-12
-# Windows per forward pass in predict_batch; bounds the im2col buffer.
+# Windows per forward pass in predict_batch; bounds its activation memory.
 PREDICT_CHUNK = 256
 # Adam moment decays and denominator guard (the usual defaults).
 ADAM_BETA1 = 0.9
@@ -263,27 +263,40 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(xw.transpose(0, 2, 1, 3)).reshape(b, t1, c * k)
 
 
+def _lag_conv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of x (B, C, T) with w (G, C, K), as the sum of
+    lag-shifted matmuls w[:, :, k] @ x[..., k:k+T1]; returns (B, G, T1)."""
+    k = w.shape[-1]
+    t1 = x.shape[-1] - k + 1
+    out = np.matmul(w[:, :, 0], x[..., :t1])
+    for kk in range(1, k):
+        out += np.matmul(w[:, :, kk], x[..., kk : kk + t1])
+    return out
+
+
+def _lag_conv_weight_grad(dz: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of `_lag_conv`'s w (G, C, K) given dz (B, G, T1): per lag,
+    the sum over the batch of dz @ x[..., k:k+T1].T, as one batched matmul."""
+    xw = sliding_window_view(x, dz.shape[-1], axis=2)  # (B, C, K, T1) view
+    return np.matmul(dz[:, None], xw.transpose(0, 2, 3, 1)).sum(0).transpose(1, 2, 0)
+
+
 def _stage_forward(
     stage: StageNet,
     cfg: NetConfig,
     x: np.ndarray,
     masks: list[np.ndarray] | None,
-    cols: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Logits (B, 2) plus the cache needed for the backward pass."""
     p = stage.params
-    k = cfg.kernel_len
-    if cols is None:
-        cols = _im2col(x, k)
-    cache: dict = {"x": x, "cols": cols}
+    cache: dict = {"x": x}
 
     # The temporal and spatial convolutions compose linearly (no activation
-    # between them), so they apply as one fused kernel over (channel, lag).
+    # between them), so they apply as one fused kernel weff (G, C, K): one
+    # (G, C) @ (C, T1) product per lag, summed over the K lags.
     weff = np.einsum("gfc,fk->gck", p["w_spat"], p["w_time"])
-    g = weff.shape[0]
-    weff2d = weff.reshape(g, -1)
-    cache["weff2d"] = weff2d
-    sp = np.ascontiguousarray((cols @ weff2d.T).transpose(0, 2, 1))  # (B, G, T1)
+    cache["weff"] = weff
+    sp = _lag_conv(weff, x)  # (B, G, T1)
     sp += p["b_spat"][None, :, None]
     cache["sp"] = sp
 
@@ -295,9 +308,7 @@ def _stage_forward(
     h = pooled
 
     for i in range(len(cfg.deep_filters)):
-        w = p[f"w_conv{i}"]
-        hw = sliding_window_view(h, k, axis=2)           # (B, prev, L1, K)
-        z = np.einsum("bplk,gpk->bgl", hw, w, optimize=True)
+        z = _lag_conv(p[f"w_conv{i}"], h)
         z += p[f"b_conv{i}"][None, :, None]
         cache[f"in{i}"] = h
         cache[f"z{i}"] = z
@@ -351,16 +362,13 @@ def _stage_backward(
         dact = _maxpool_backward(dh, idx, cfg.pool_len, orig)
         dz = dact * _elu_grad(cache[f"z{i}"])
         h_in = cache[f"in{i}"]
-        hw = sliding_window_view(h_in, k, axis=2)
         w = p[f"w_conv{i}"]
-        grads[f"w_conv{i}"] = np.einsum("bgl,bplk->gpk", dz, hw, optimize=True)
+        grads[f"w_conv{i}"] = _lag_conv_weight_grad(dz, h_in)
         grads[f"b_conv{i}"] = dz.sum(axis=(0, 2))
         l1 = dz.shape[-1]
         dh = np.zeros_like(h_in)
         for kk in range(k):
-            dh[:, :, kk : kk + l1] += np.einsum(
-                "bgl,gp->bpl", dz, w[:, :, kk], optimize=True
-            )
+            dh[:, :, kk : kk + l1] += np.matmul(w[:, :, kk].T, dz)
 
     if masks is not None:
         dh = dh * masks[0]
@@ -370,25 +378,18 @@ def _stage_backward(
     grads["b_spat"] = dsp.sum(axis=(0, 2))
 
     x = cache["x"]
-    cols = cache["cols"]
-    b, t1 = dsp.shape[0], dsp.shape[-1]
-    c, t = x.shape[1], x.shape[2]
-    g = dsp.shape[1]
-    dsp2d = np.ascontiguousarray(dsp.transpose(0, 2, 1)).reshape(b * t1, g)
-    dweff = (dsp2d.T @ cols.reshape(b * t1, -1)).reshape(g, c, k)
+    dweff = _lag_conv_weight_grad(dsp, x)
     # Unfuse: weff[g,c,k] = sum_f w_spat[g,f,c] * w_time[f,k].
     grads["w_time"] = np.einsum("gck,gfc->fk", dweff, p["w_spat"])
     grads["w_spat"] = np.einsum("gck,fk->gfc", dweff, p["w_time"])
     if not need_input_grad:
         return grads, None
-    # d_input is the full correlation of dsp with the lag-flipped kernel.
+    # d_input is the full correlation of dsp with the lag-flipped kernel. One
+    # padded im2col GEMM measured faster here than K per-lag products.
+    (b, g, t1), (c, t) = dsp.shape, x.shape[1:]
     dsp_pad = np.zeros((b, g, t1 + 2 * (k - 1)))
     dsp_pad[:, :, k - 1 : k - 1 + t1] = dsp
-    wflip = (
-        cache["weff2d"].reshape(g, c, k)[:, :, ::-1]
-        .transpose(0, 2, 1)
-        .reshape(g * k, c)
-    )
+    wflip = cache["weff"][:, :, ::-1].transpose(0, 2, 1).reshape(g * k, c)
     dx = (_im2col(dsp_pad, k).reshape(b * t, g * k) @ wflip).reshape(b, t, c)
     return grads, np.ascontiguousarray(dx.transpose(0, 2, 1))
 
@@ -409,9 +410,8 @@ def _forward_batch(
     if rng is not None:
         masks_a = _draw_masks(cfg, x.shape[0], rng)
         masks_b = _draw_masks(cfg, x.shape[0], rng)
-    cols = _im2col(x, cfg.kernel_len)
-    la, cache_a = _stage_forward(model.stage_a, cfg, x, masks_a, cols)
-    lb, cache_b = _stage_forward(model.stage_b, cfg, x, masks_b, cols)
+    la, cache_a = _stage_forward(model.stage_a, cfg, x, masks_a)
+    lb, cache_b = _stage_forward(model.stage_b, cfg, x, masks_b)
     ctx = {"cache_a": cache_a, "cache_b": cache_b,
            "masks_a": masks_a, "masks_b": masks_b}
     return _softmax2(la), _softmax2(lb), ctx

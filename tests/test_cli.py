@@ -14,7 +14,8 @@ import pytest
 
 import eegtd
 from eegtd.cli import (
-    _dataset_config, _metric_config, _train_config, build_parser, main,
+    _apply_config_defaults, _dataset_config, _metric_config, _train_config,
+    build_parser, main,
 )
 from eegtd.core import ClassId, Event, EventSchedule, load_recording, load_schedule, save_schedule
 from eegtd.dataset import DatasetConfig
@@ -171,7 +172,7 @@ class TestFlagTypes:
         assert _dataset_config(train) == DatasetConfig()
         assert _train_config(train, seed=0, epochs=train.epochs) == TrainConfig()
         online = parser.parse_args(["infer-online", "--connect", "h:1", "--model", "m"])
-        assert (online.stride, online.threshold, online.consecutive,
+        assert (online.infer_stride, online.threshold, online.consecutive,
                 online.refractory) == astuple(OnlineConfig())
         evaluate = parser.parse_args(["evaluate", "--detections", "d", "--schedule", "s"])
         assert _metric_config(evaluate) == MetricConfig()
@@ -204,6 +205,20 @@ class TestConfigFile:
                   "--schedule", "s", "--out-model", "m"])
         assert info.value.code == 2
         assert "--epochs" in capsys.readouterr().err
+
+    def test_config_stride_sets_only_the_training_stride(self, tmp_path):
+        cfg = tmp_path / "conf"
+        cfg.write_text("stride=50\n")
+        parser = build_parser()
+        online = parser.parse_args(_apply_config_defaults(
+            parser, ["infer-online", "--config", str(cfg), "--connect", "h:1",
+                     "--model", "m"],
+        ))
+        train = parser.parse_args(
+            ["train", "--recording", "r", "--schedule", "s", "--out-model", "m"]
+        )
+        assert online.infer_stride == OnlineConfig.infer_stride
+        assert train.stride == 50
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "conf"

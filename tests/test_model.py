@@ -5,10 +5,12 @@ import io
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eegtd.core import ClassId, Epoch, FormatError
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta
 from eegtd.model import (
+    PREDICT_CHUNK,
     HierarchicalModel,
     NetConfig,
     StageNet,
@@ -28,6 +30,12 @@ from eegtd.model import (
     standardize,
     train,
     _backward_batch,
+    _elu,
+    _elu_grad,
+    _forward_batch,
+    _maxpool,
+    _maxpool_backward,
+    _softmax2,
 )
 
 TINY = NetConfig(
@@ -181,6 +189,101 @@ class TestGradients:
             assert abs(dx.ravel()[i] - fd) / (abs(fd) + 1e-8) < 1e-3
 
 
+def reference_conv(w, x):
+    """Valid cross-correlation of x (B, C, T) with w (G, C, K) over im2col
+    windows: (B, G, T-K+1)."""
+    return np.einsum("bctk,gck->bgt", sliding_window_view(x, w.shape[-1], axis=2), w)
+
+
+def reference_conv_grads(dz, x, w):
+    """Gradients of reference_conv w.r.t. w (im2col windows of x) and x (full
+    correlation of the zero-padded dz with the lag-flipped kernel)."""
+    k = w.shape[-1]
+    dw = np.einsum("bgt,bctk->gck", dz, sliding_window_view(x, k, axis=2))
+    dz_pad = np.pad(dz, ((0, 0), (0, 0), (k - 1, k - 1)))
+    dx = np.einsum("bgtk,gck->bct", sliding_window_view(dz_pad, k, axis=2), w[:, :, ::-1])
+    return dw, dx
+
+
+def reference_stage(p, cfg, x, dlogits_of):
+    """One stage without dropout, forward then backward, with every
+    convolution by reference_conv: (logits, parameter grads, input grad).
+    dlogits_of maps the logits to the loss gradient."""
+    weff = np.einsum("gfc,fk->gck", p["w_spat"], p["w_time"])
+    convs = [(weff, p["b_spat"])]
+    convs += [(p[f"w_conv{i}"], p[f"b_conv{i}"]) for i in range(len(cfg.deep_filters))]
+    layers = []
+    h = x
+    for w, b in convs:
+        z = reference_conv(w, h) + b[None, :, None]
+        pooled, idx, orig = _maxpool(_elu(z), cfg.pool_len)
+        layers.append((h, z, idx, orig))
+        h = pooled
+    flat = h.reshape(len(x), -1)
+    d1 = flat @ p["w_dense"] + p["b_dense"]
+    hid = _elu(d1)
+    logits = hid @ p["w_out"] + p["b_out"]
+
+    dl = dlogits_of(logits)
+    g = {"w_out": hid.T @ dl, "b_out": dl.sum(axis=0)}
+    dd1 = (dl @ p["w_out"].T) * _elu_grad(d1)
+    g["w_dense"], g["b_dense"] = flat.T @ dd1, dd1.sum(axis=0)
+    dh = (dd1 @ p["w_dense"].T).reshape(h.shape)
+    for i in reversed(range(len(convs))):
+        h_in, z, idx, orig = layers[i]
+        dz = _maxpool_backward(dh, idx, cfg.pool_len, orig) * _elu_grad(z)
+        dw, dh = reference_conv_grads(dz, h_in, convs[i][0])
+        if i == 0:
+            g["b_spat"] = dz.sum(axis=(0, 2))
+            g["w_time"] = np.einsum("gck,gfc->fk", dw, p["w_spat"])
+            g["w_spat"] = np.einsum("gck,fk->gfc", dw, p["w_time"])
+        else:
+            g[f"w_conv{i - 1}"], g[f"b_conv{i - 1}"] = dw, dz.sum(axis=(0, 2))
+    return logits, g, dh
+
+
+def assert_close(got, ref, what):
+    # rtol relative to the array's largest entry: single entries that
+    # cancel to near zero carry the rounding of their larger terms.
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+                               err_msg=what)
+
+
+class TestDefaultConfigReference:
+    """The default NetConfig (32 x 250, K=10, blocks (8, 16)) against the
+    sliding-window reference; the finite-difference tests cover only TINY."""
+
+    @pytest.mark.parametrize("labels", [[2], [0, 1, 2, 1, 0]])
+    def test_backward_batch_matches_reference(self, labels):
+        cfg = NetConfig()
+        model = init_model(cfg, seed=4)
+        labels = np.array(labels)
+        b = len(labels)
+        x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
+        target = labels > 0
+
+        def d_a(logits):
+            return (_softmax2(logits) - np.eye(2)[target.astype(int)]) / b
+
+        def d_b(logits):
+            onehot = np.eye(2)[np.maximum(labels - 1, 0)]
+            return np.where(target[:, None], _softmax2(logits) - onehot, 0.0) / b
+
+        la, ref_a, dx_a = reference_stage(model.stage_a.params, cfg, x, d_a)
+        lb, ref_b, dx_b = reference_stage(model.stage_b.params, cfg, x, d_b)
+        pa, pb, _ = _forward_batch(model, x)
+        assert_close(pa, _softmax2(la), "stage A softmax")
+        assert_close(pb, _softmax2(lb), "stage B softmax")
+        grads, mean_loss, dx = _backward_batch(model, x, labels, need_input_grad=True)
+        ref_loss = -np.log(compose_probs(_softmax2(la), _softmax2(lb))[np.arange(b), labels])
+        assert mean_loss == pytest.approx(ref_loss.mean(), rel=1e-12)
+        for stage_name, ref in (("stage_a", ref_a), ("stage_b", ref_b)):
+            assert grads[stage_name].keys() == ref.keys()
+            for name, value in ref.items():
+                assert_close(grads[stage_name][name], value, f"{stage_name}.{name}")
+        assert_close(dx, dx_a + dx_b, "input gradient")
+
+
 def make_toy_epochs(n_per_class=40, seed=0):
     """Noise-free separable windows: distinct fixed spatiotemporal patterns."""
     rng = np.random.default_rng(seed)
@@ -302,6 +405,16 @@ class TestPredict:
             labels, probs = predict_batch(tiny_model, x[None])
             assert np.array_equal(probs[0], forward(tiny_model, x))
             assert int(labels[0]) == int(np.argmax(probs[0]))
+
+    def test_batch_matches_single_window_forward_at_default_config(self):
+        # 300 windows cross one PREDICT_CHUNK boundary.
+        model = init_model(NetConfig(), seed=6)
+        x = standardize(np.random.default_rng(9).standard_normal((300, 32, 250)))
+        assert len(x) > PREDICT_CHUNK
+        labels, probs = predict_batch(model, x)
+        single = np.stack([forward(model, window) for window in x])
+        np.testing.assert_allclose(probs, single, rtol=1e-12)
+        assert np.array_equal(labels, single.argmax(axis=1))
 
     def test_dimension_mismatch(self, tiny_model):
         with pytest.raises(ValueError, match="shape"):
