@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Print SHA-256 sums of the outputs a behaviour-preserving change must keep.
+
+With BLAS pinned to one thread, this
+- runs the clean-stimulus (A1) recipe on 2 training sessions with an
+  unpaced stream, at 3 and at 30 training epochs, and hashes its
+  model.hmdl, loss_trace.csv and detections.csv;
+- trains the 2-session confounded (video2n) model for 30 epochs and, on a
+  held-out video2n session, hashes the evaluate_epochs result, the occlusion
+  importances and the gradient saliency.
+
+Every hashed output is kept under --out-dir. Pass --against with the
+--out-dir of another tree's run to compare: each file whose sum differs is
+reported with the size of the difference (detections.csv by time and class,
+arrays by their largest relative difference).
+
+Usage:
+    PYTHONPATH=src python scripts/identity_check.py --out-dir ids-new \\
+        [--against ids-parent]
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import hashlib  # noqa: E402
+import logging  # noqa: E402
+import shutil  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from eegtd.analysis import evaluate_epochs, gradient_saliency, occlusion_saliency  # noqa: E402
+from eegtd.dataset import DatasetConfig, build_eval_dataset  # noqa: E402
+from eegtd.experiment import (  # noqa: E402
+    clean_stimulus_config,
+    confounded_stimulus_config,
+    generate_session,
+    pretrain_model,
+    run_detection_experiment,
+)
+from eegtd.metrics import MetricConfig  # noqa: E402
+from eegtd.seeding import child_seed  # noqa: E402
+
+SEED = 7
+TRAIN_SESSIONS = 2
+A1_EPOCHS = (3, 30)
+SALIENCY_EPOCHS = 30
+
+
+def run_a1(out: Path) -> list[Path]:
+    files = []
+    for epochs in A1_EPOCHS:
+        cfg = replace(
+            clean_stimulus_config(seed=SEED, train_epochs=epochs),
+            n_train_sessions=TRAIN_SESSIONS, stream_speed=float("inf"),
+        )
+        workdir = out / f"a1-{epochs}"
+        run_detection_experiment(cfg, workdir)
+        files += [workdir / n for n in ("model.hmdl", "loss_trace.csv", "detections.csv")]
+    return files
+
+
+def run_saliency(out: Path) -> list[Path]:
+    cfg = replace(
+        confounded_stimulus_config(seed=SEED, train_epochs=SALIENCY_EPOCHS),
+        n_train_sessions=TRAIN_SESSIONS,
+    )
+    model, _ = pretrain_model(cfg)
+    rec, schedule = generate_session(cfg, child_seed(SEED, "test-session"))
+    epochs = build_eval_dataset(rec, schedule, DatasetConfig(), seed=SEED)
+    workdir = out / "saliency"
+    workdir.mkdir(parents=True, exist_ok=True)
+    score, cm = evaluate_epochs(model, epochs, MetricConfig())
+    (workdir / "evaluate.txt").write_text(f"{score!r}\n{cm.counts.tolist()}\n")
+    occ = occlusion_saliency(model, epochs, MetricConfig())
+    np.save(workdir / "occlusion.npy", np.append(occ.importance, occ.baseline_score))
+    np.save(workdir / "gradient.npy", gradient_saliency(model, epochs))
+    return [workdir / n for n in ("evaluate.txt", "occlusion.npy", "gradient.npy")]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def describe_difference(new: Path, old: Path) -> str:
+    if new.suffix == ".npy":
+        a, b = np.load(new), np.load(old)
+        rel = np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
+        return f"max relative difference {rel:.3g}"
+    if new.name == "detections.csv":
+        def rows(p):
+            with open(p, newline="") as fh:
+                return [(r["time"], r["class"], float(r["confidence"]))
+                        for r in csv.DictReader(fh)]
+        a, b = rows(new), rows(old)
+        if [r[:2] for r in a] != [r[:2] for r in b]:
+            return "times or classes DIFFER"
+        gaps = [abs(x[2] - y[2]) for x, y in zip(a, b) if x[2] != y[2]]
+        return (f"times and classes identical; {len(gaps)} of {len(a)} "
+                f"confidences differ, by at most {max(gaps, default=0.0):.3g}")
+    return "contents differ"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out-dir", required=True, type=Path)
+    parser.add_argument("--against", type=Path,
+                        help="--out-dir of an earlier run to compare with")
+    args = parser.parse_args()
+    logging.basicConfig(level=logging.WARNING)
+    if args.out_dir.exists():
+        shutil.rmtree(args.out_dir)
+    files = run_a1(args.out_dir) + run_saliency(args.out_dir)
+    differ = 0
+    for path in files:
+        rel = path.relative_to(args.out_dir)
+        line = f"{sha256(path)}  {rel}"
+        if args.against is not None:
+            old = args.against / rel
+            if sha256(old) != sha256(path):
+                differ += 1
+                line += f"  differs: {describe_difference(path, old)}"
+        print(line)
+    if args.against is not None:
+        print(f"{differ} of {len(files)} outputs differ from {args.against}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -119,10 +119,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _dataset_config(args) -> DatasetConfig:
+def _dataset_config(args, window_len: int, stride: int) -> DatasetConfig:
     return DatasetConfig(
-        window_len=args.window_len,
-        stride=args.stride,
+        window_len=window_len,
+        stride=stride,
         nontarget_per_event=args.nontarget_per_event,
     )
 
@@ -144,7 +144,7 @@ def _metric_config(args) -> MetricConfig:
 def cmd_train(args) -> int:
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
-    cfg = _dataset_config(args)
+    cfg = _dataset_config(args, args.window_len, args.stride)
     epochs = build_dataset(recording, schedule, cfg, child_seed(args.seed, "dataset"))
     net = NetConfig(n_channels=recording.n_channels, window_len=cfg.window_len)
     model = init_model(net, child_seed(args.seed, "init"))
@@ -165,7 +165,7 @@ def cmd_calibrate(args) -> int:
         model = load_model(fh)
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
-    cfg = _dataset_config(args)
+    cfg = _dataset_config(args, model.config.window_len, args.stride)
     epochs = build_dataset(
         recording, schedule, cfg, child_seed(args.seed, "calibration")
     )
@@ -273,7 +273,9 @@ def cmd_analyze_saliency(args) -> int:
         model = load_model(fh)
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
-    cfg = _dataset_config(args)
+    # Evaluation windows do not slide: one window per event at its onset.
+    w = model.config.window_len
+    cfg = _dataset_config(args, w, stride=w)
     epochs = build_eval_dataset(
         recording, schedule, cfg, child_seed(args.seed, "saliency-eval")
     )
@@ -407,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["debug", "info", "warning", "error"])
 
     def add_dataset_flags(p):
-        p.add_argument("--window-len", type=int, default=DatasetConfig.window_len)
-        p.add_argument("--stride", type=int, default=DatasetConfig.stride)
         p.add_argument("--nontarget-per-event", type=int,
                        default=DatasetConfig.nontarget_per_event)
 
@@ -417,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--learning-rate", type=float,
                        default=TrainConfig.learning_rate)
         p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+        p.add_argument("--stride", type=int, default=DatasetConfig.stride)
         add_dataset_flags(p)
 
     def add_metric_flags(p):
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a synthetic EEGR recording plus schedule CSV")
     add_common(p)
-    p.add_argument("--profile", required=True, choices=["video1", "video2n", "video2ai"])
+    p.add_argument("--profile", required=True, choices=["video1", "video2n"])
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--events-per-class", type=int)
     p.add_argument("--background-sigma", type=float,
@@ -445,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--loss-trace", help="write per-epoch mean loss CSV here")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--window-len", type=int, default=DatasetConfig.window_len)
     add_train_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -173,25 +173,20 @@ class TrainConfig:
 
 
 def standardize(epoch_data: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-std rows (population std); near-constant rows map to 0."""
+    """Zero-mean unit-std rows along the last axis (population std), for one
+    window (C, T) or a stack (N, C, T); near-constant rows map to 0."""
     x = np.asarray(epoch_data, dtype=np.float64)
-    if x.ndim == 2:
-        return _standardize_batch(x[None])[0]
-    return _standardize_batch(x)
-
-
-def _standardize_batch(x: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, keepdims=True)
-    out = np.where(sd < 1e-9, 0.0, (x - mu) / np.where(sd < 1e-9, 1.0, sd))
-    return out
+    return np.where(sd < 1e-9, 0.0, (x - mu) / np.where(sd < 1e-9, 1.0, sd))
 
 
 def stack_epochs(epochs: list[Epoch]) -> tuple[np.ndarray, np.ndarray]:
     """Standardized float64 windows (N, C, T) and int64 labels (N,)."""
     if not epochs:
         raise ValueError("empty epoch set: training and evaluation need a non-empty one")
-    x = _standardize_batch(np.stack([ep.data for ep in epochs]).astype(np.float64))
+    # Cast before the call, so the f32 stack is freed before standardizing.
+    x = standardize(np.stack([ep.data for ep in epochs]).astype(np.float64))
     y = np.array([int(ep.label) for ep in epochs], dtype=np.int64)
     return x, y
 
@@ -231,36 +226,28 @@ def _softmax2(logits: np.ndarray) -> np.ndarray:
 
 
 def compose_probs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """(a0, a1*b0, a1*b1) from the two binary softmax outputs."""
-    pa = np.asarray(pa, dtype=np.float64)
-    pb = np.asarray(pb, dtype=np.float64)
-    if pa.ndim == 1:
-        return np.array([pa[0], pa[1] * pb[0], pa[1] * pb[1]])
+    """(B, 3) rows (a0, a1*b0, a1*b1) from the two (B, 2) binary softmax
+    outputs."""
     return np.stack([pa[:, 0], pa[:, 1] * pb[:, 0], pa[:, 1] * pb[:, 1]], axis=1)
 
 
-def _draw_masks(cfg: NetConfig, batch: int, rng: np.random.Generator) -> list[np.ndarray]:
+def _draw_masks(
+    cfg: NetConfig, batch: int, rng: np.random.Generator
+) -> list[np.ndarray] | None:
     """Inverted-dropout masks for the pooled front end, each block, and the
-    dense hidden layer (in that order)."""
-    steps = cfg.time_steps()
+    dense hidden layer (in that order); None when dropout is off."""
     rate = cfg.dropout_rate
+    if rate == 0.0:
+        return None
+    steps = cfg.time_steps()
     shapes = [(batch, cfg.temporal_filters, steps[0])]
     shapes += [
         (batch, g, steps[i + 1]) for i, g in enumerate(cfg.deep_filters)
     ]
     shapes.append((batch, cfg.dense_hidden))
-    if rate == 0.0:
-        return [np.ones(s) for s in shapes]
     return [
         (rng.random(s) >= rate).astype(np.float64) / (1.0 - rate) for s in shapes
     ]
-
-
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Sliding windows of (B, C, T) flattened to contiguous (B, T-k+1, C*k)."""
-    xw = sliding_window_view(x, k, axis=2)  # (B, C, T1, K) view
-    b, c, t1, _ = xw.shape
-    return np.ascontiguousarray(xw.transpose(0, 2, 1, 3)).reshape(b, t1, c * k)
 
 
 def _lag_conv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -279,6 +266,17 @@ def _lag_conv_weight_grad(dz: np.ndarray, x: np.ndarray) -> np.ndarray:
     the sum over the batch of dz @ x[..., k:k+T1].T, as one batched matmul."""
     xw = sliding_window_view(x, dz.shape[-1], axis=2)  # (B, C, K, T1) view
     return np.matmul(dz[:, None], xw.transpose(0, 2, 3, 1)).sum(0).transpose(1, 2, 0)
+
+
+def _lag_conv_input_grad(w: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Gradient of `_lag_conv`'s x (B, C, T1+K-1) given dz (B, G, T1): the
+    transposed convolution, w[:, :, k].T @ dz added at offset k."""
+    k = w.shape[-1]
+    t1 = dz.shape[-1]
+    dx = np.zeros((dz.shape[0], w.shape[1], t1 + k - 1))
+    for kk in range(k):
+        dx[:, :, kk : kk + t1] += np.matmul(w[:, :, kk].T, dz)
+    return dx
 
 
 def _stage_forward(
@@ -342,7 +340,6 @@ def _stage_backward(
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Parameter gradients plus (optionally) the gradient w.r.t. the input."""
     p = stage.params
-    k = cfg.kernel_len
     grads: dict[str, np.ndarray] = {}
 
     grads["w_out"] = cache["hid"].T @ dlogits
@@ -361,14 +358,9 @@ def _stage_backward(
         idx, orig = cache[f"pool{i + 1}"]
         dact = _maxpool_backward(dh, idx, cfg.pool_len, orig)
         dz = dact * _elu_grad(cache[f"z{i}"])
-        h_in = cache[f"in{i}"]
-        w = p[f"w_conv{i}"]
-        grads[f"w_conv{i}"] = _lag_conv_weight_grad(dz, h_in)
+        grads[f"w_conv{i}"] = _lag_conv_weight_grad(dz, cache[f"in{i}"])
         grads[f"b_conv{i}"] = dz.sum(axis=(0, 2))
-        l1 = dz.shape[-1]
-        dh = np.zeros_like(h_in)
-        for kk in range(k):
-            dh[:, :, kk : kk + l1] += np.matmul(w[:, :, kk].T, dz)
+        dh = _lag_conv_input_grad(p[f"w_conv{i}"], dz)
 
     if masks is not None:
         dh = dh * masks[0]
@@ -377,21 +369,13 @@ def _stage_backward(
     dsp = dact * _elu_grad(cache["sp"])
     grads["b_spat"] = dsp.sum(axis=(0, 2))
 
-    x = cache["x"]
-    dweff = _lag_conv_weight_grad(dsp, x)
+    dweff = _lag_conv_weight_grad(dsp, cache["x"])
     # Unfuse: weff[g,c,k] = sum_f w_spat[g,f,c] * w_time[f,k].
     grads["w_time"] = np.einsum("gck,gfc->fk", dweff, p["w_spat"])
     grads["w_spat"] = np.einsum("gck,fk->gfc", dweff, p["w_time"])
     if not need_input_grad:
         return grads, None
-    # d_input is the full correlation of dsp with the lag-flipped kernel. One
-    # padded im2col GEMM measured faster here than K per-lag products.
-    (b, g, t1), (c, t) = dsp.shape, x.shape[1:]
-    dsp_pad = np.zeros((b, g, t1 + 2 * (k - 1)))
-    dsp_pad[:, :, k - 1 : k - 1 + t1] = dsp
-    wflip = cache["weff"][:, :, ::-1].transpose(0, 2, 1).reshape(g * k, c)
-    dx = (_im2col(dsp_pad, k).reshape(b * t, g * k) @ wflip).reshape(b, t, c)
-    return grads, np.ascontiguousarray(dx.transpose(0, 2, 1))
+    return grads, _lag_conv_input_grad(cache["weff"], dsp)
 
 
 def _forward_batch(
@@ -581,8 +565,6 @@ def calibrate(
     modified. epochs=0 returns an identical copy."""
     if epochs == 0:
         return copy.deepcopy(model)
-    if not calibration_epochs:
-        raise ValueError("calibration requires a non-empty epoch set")
     tuned_cfg = replace(
         cfg, learning_rate=cfg.learning_rate * lr_scale, epochs=epochs
     )

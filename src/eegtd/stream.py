@@ -28,6 +28,7 @@ from typing import Callable, Union
 import numpy as np
 
 from eegtd.core import KIND_TO_CSV, ClassId, EventSchedule, Recording
+from eegtd.dataset import check_same_length
 from eegtd.metrics import Detection
 from eegtd.model import HierarchicalModel, forward, standardize
 
@@ -291,8 +292,7 @@ class ReplayServer:
         chunk_ms: float = 40.0,
         speed: float = 1.0,
     ):
-        if schedule.total_samples != recording.n_samples:
-            raise ValueError("schedule and recording lengths differ")
+        check_same_length(recording, schedule)
         if not speed > 0:
             raise ValueError("speed must be positive (use inf to disable pacing)")
         self.chunk_frames = int(chunk_ms * recording.sampling_rate / 1000.0)
@@ -465,13 +465,14 @@ class RingBuffer:
         self.write_head += k
 
     def read_last(self, k: int) -> np.ndarray:
-        """The most recent k samples, oldest first, as (n_channels, k)."""
+        """The most recent k samples, oldest first, as C-ordered
+        (n_channels, k)."""
         if k > self.capacity:
             raise ValueError(f"cannot read {k} samples from capacity {self.capacity}")
         if k > self.write_head:
             raise ValueError(f"only {self.write_head} samples written, wanted {k}")
         pos = (self.write_head - k + np.arange(k)) % self.capacity
-        return self._buf[:, pos]
+        return self._buf.take(pos, axis=1)
 
 
 @dataclass(frozen=True)

@@ -100,21 +100,11 @@ class StimulusProfile:
             rotation_period_s=5.0, weather_drift=True,
         )
 
-    @classmethod
-    def video2ai(cls, events_per_class: int = 30) -> "StimulusProfile":
-        """The AI-cued Video2. No bounding-box cue model exists yet, so it
-        renders exactly like video2n."""
-        return cls(
-            "video2ai", 480.0, events_per_class,
-            rotation_period_s=5.0, weather_drift=True,
-        )
-
 
 def profile_by_name(name: str, events_per_class: int | None = None) -> StimulusProfile:
     factories = {
         "video1": StimulusProfile.video1,
         "video2n": StimulusProfile.video2n,
-        "video2ai": StimulusProfile.video2ai,
     }
     try:
         factory = factories[name.lower()]

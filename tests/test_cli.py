@@ -169,7 +169,7 @@ class TestFlagTypes:
         train = parser.parse_args(
             ["train", "--recording", "r", "--schedule", "s", "--out-model", "m"]
         )
-        assert _dataset_config(train) == DatasetConfig()
+        assert _dataset_config(train, train.window_len, train.stride) == DatasetConfig()
         assert _train_config(train, seed=0, epochs=train.epochs) == TrainConfig()
         online = parser.parse_args(["infer-online", "--connect", "h:1", "--model", "m"])
         assert (online.infer_stride, online.threshold, online.consecutive,
@@ -297,6 +297,29 @@ class TestTrainAndDownstream:
         layout_lines = layout.read_text().splitlines()
         assert layout_lines[0] == "channel,x,y"
         assert len(layout_lines) == 33
+
+    def test_model_window_len_drives_calibrate_and_saliency(self, small_session, capsys):
+        # Neither command has a window flag: both read the window length from
+        # the model, here 200 samples rather than the default 250.
+        tmp, prefix, _ = small_session
+        data = ["--recording", f"{prefix}.eegr", "--schedule", f"{prefix}.schedule.csv"]
+        model_path = tmp / "w200.hmdl"
+        assert main(["train", *data, "--out-model", str(model_path),
+                     "--window-len", "200", "--epochs", "1"]) == 0
+        calibrated = tmp / "w200-calibrated.hmdl"
+        code, _ = run_cli(["calibrate", "--model", str(model_path), *data,
+                           "--out-model", str(calibrated), "--calibration-epochs", "1"],
+                          capsys)
+        assert code == 0
+        from eegtd.model import load_model
+
+        with open(calibrated, "rb") as fh:
+            assert load_model(fh).config.window_len == 200
+        out = tmp / "w200-saliency.csv"
+        code, _ = run_cli(["analyze-saliency", "--model", str(model_path), *data,
+                           "--out", str(out)], capsys)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 33
 
     def test_analyze_erp_outputs(self, small_session, capsys):
         tmp, prefix, _ = small_session

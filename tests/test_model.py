@@ -75,8 +75,8 @@ def finite_difference(model, x, label, stage_name, param_name, index, h=1e-4):
 
 class TestComposition:
     def test_identity_example(self):
-        probs = compose_probs(np.array([0.8, 0.2]), np.array([0.5, 0.5]))
-        assert probs == pytest.approx([0.8, 0.1, 0.1])
+        probs = compose_probs(np.array([[0.8, 0.2]]), np.array([[0.5, 0.5]]))
+        assert probs[0] == pytest.approx([0.8, 0.1, 0.1])
 
     def test_zeroed_parameters_uniform(self, tiny_model, tiny_input):
         for stage in (tiny_model.stage_a, tiny_model.stage_b):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Event, EventSchedule, Recording
+from eegtd.model import NetConfig, forward, init_model, standardize
 from eegtd.stream import (
     ConnectionLost,
     DataMessage,
@@ -322,7 +323,7 @@ class TestReplayServer:
     def test_length_mismatch_rejected(self):
         rec = make_recording(100)
         schedule = EventSchedule(99, 250.0, [], [])
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ValueError, match="schedule length does not match"):
             ReplayServer(rec, schedule)
 
 
@@ -481,6 +482,29 @@ class TestOnlineEngine:
         # two separated single-window flags never make 3 consecutive
         rec = flag_recording(2500, [(1000, 1025), (1100, 1125)])
         assert self.run_engine(rec) == []
+
+    def test_confidence_equals_offline_forward_exactly(self):
+        # The engine classifies the same C-ordered window an offline slice
+        # gives. With one-window runs and no refractory hold, each confidence
+        # is bit-equal to the offline forward pass over the samples that end
+        # at the detection.
+        rec = make_recording(3000, n_channels=4, seed=3)
+        model = init_model(NetConfig(n_channels=4), seed=2)
+        # Weights 4x the init scale make the output depend on the last bits
+        # of the standardized window.
+        for stage in (model.stage_a, model.stage_b):
+            for value in stage.params.values():
+                value *= 4.0
+        cfg = OnlineConfig(trigger_threshold=0.01, consecutive_required=1, refractory=1)
+        engine = OnlineEngine(model, cfg)
+        frames = rec.samples.T
+        for lo in range(0, frames.shape[0], 10):
+            engine.push(frames[lo : lo + 10])
+        assert len(engine.detections) >= 5
+        w = model.config.window_len
+        for det in engine.detections:
+            probs = forward(model, standardize(rec.samples[:, det.time - w : det.time]))
+            assert det.confidence == 1.0 - probs[0]
 
     def test_online_infer_helper(self):
         rec = flag_recording(2500, [(1000, 1250)])

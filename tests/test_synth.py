@@ -1,7 +1,5 @@
 """Schedule generator and synthetic EEG renderer."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -27,8 +25,8 @@ class TestProfiles:
         v2n = profile_by_name("video2n")
         assert (v2n.length_s, v2n.events_per_class) == (480.0, 30)
         assert v2n.rotation_period_s == 5.0 and v2n.weather_drift
-        # no cue model yet: video2ai differs from video2n only in its name
-        assert replace(profile_by_name("video2ai"), name="video2n") == v2n
+        with pytest.raises(SynthError, match="unknown profile"):
+            profile_by_name("video2ai")
 
     def test_unknown_profile(self):
         with pytest.raises(SynthError, match="unknown profile"):
