@@ -12,7 +12,8 @@ With BLAS pinned to one thread, this
 Every hashed output is kept under --out-dir. Pass --against with the
 --out-dir of another tree's run to compare: each file whose sum differs is
 reported with the size of the difference (detections.csv by time and class,
-arrays by their largest relative difference).
+arrays by their largest relative difference). The last line is the
+process's peak RSS, for information only: --against does not compare it.
 
 Usage:
     PYTHONPATH=src python scripts/identity_check.py --out-dir ids-new \\
@@ -28,6 +29,7 @@ import argparse  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import logging  # noqa: E402
+import resource  # noqa: E402
 import shutil  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -129,6 +131,9 @@ def main() -> int:
         print(line)
     if args.against is not None:
         print(f"{differ} of {len(files)} outputs differ from {args.against}")
+    # ru_maxrss is in KiB on Linux.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak_mb:.0f} MB (informational, not compared)")
     return 0
 
 

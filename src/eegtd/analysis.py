@@ -152,9 +152,10 @@ def occlusion_saliency(
     n_channels = x.shape[1]
     importance = np.zeros(n_channels)
     for c in range(n_channels):
-        ablated = x.copy()
-        ablated[:, c, :] = 0.0
-        importance[c] = baseline - _score_windows(model, ablated, y, cfg)[0]
+        saved = x[:, c, :].copy()
+        x[:, c, :] = 0.0
+        importance[c] = baseline - _score_windows(model, x, y, cfg)[0]
+        x[:, c, :] = saved
     return ChannelSaliency(baseline, importance)
 
 

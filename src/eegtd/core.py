@@ -166,14 +166,20 @@ class EventSchedule:
 
 @dataclass
 class Epoch:
-    """A fixed-length channels x time window with its class label."""
+    """A fixed-length channels x time window with its class label.
+
+    `data` is a read-only float32 view of the array it is given, not a copy:
+    windows cut by `dataset` are views of their recording's samples. The
+    caller's array keeps its own writeable flag.
+    """
 
     data: np.ndarray  # (n_channels, window_len) float32
     label: ClassId
     source_onset: int
 
     def __post_init__(self) -> None:
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
+        self.data = np.asarray(self.data, dtype=np.float32).view()
+        self.data.flags.writeable = False
         if self.data.ndim != 2:
             raise ValueError("epoch data must be 2-D")
         if not np.isfinite(self.data).all():

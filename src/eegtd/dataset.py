@@ -4,7 +4,9 @@ minority-class sliding-window augmentation, and seeded negative sampling.
 Augmentation slides the window forward from each event onset in `stride`
 steps, giving exactly window_len/stride epochs per event (10 with defaults).
 Test-time data are never augmented; evaluation sets take one window per
-event at its onset.
+event at its onset. Every epoch's data is a read-only view of the
+recording's samples, so overlapping windows cost no memory beyond the
+recording itself.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def augment_minority(
             )
         for k in range(cfg.augment_factor):
             start = ev.onset + k * cfg.stride
-            data = rec.samples[:, start : start + cfg.window_len].copy()
+            data = rec.samples[:, start : start + cfg.window_len]
             epochs.append(Epoch(data, ev.class_id, start))
     return epochs
 
@@ -117,7 +119,7 @@ def sample_nontarget(
     rng = np.random.default_rng(seed)
     starts = rng.choice(candidates, size=quota, replace=False)
     return [
-        Epoch(rec.samples[:, s : s + w].copy(), ClassId.NON_TARGET, int(s))
+        Epoch(rec.samples[:, s : s + w], ClassId.NON_TARGET, int(s))
         for s in starts
     ]
 
@@ -142,7 +144,7 @@ def build_eval_dataset(
     for index, ev in enumerate(schedule.targets):
         if ev.onset + cfg.window_len > rec.n_samples:
             raise DatasetError(f"event {index}: evaluation window overruns recording")
-        data = rec.samples[:, ev.onset : ev.onset + cfg.window_len].copy()
+        data = rec.samples[:, ev.onset : ev.onset + cfg.window_len]
         epochs.append(Epoch(data, ev.class_id, ev.onset))
     epochs += sample_nontarget(rec, schedule, cfg, child_seed(seed, "eval-nontarget"))
     return epochs

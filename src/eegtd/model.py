@@ -31,6 +31,9 @@ HMDL_VERSION = 1
 LOSS_EPS = 1e-12
 # Windows per forward pass in predict_batch; bounds its activation memory.
 PREDICT_CHUNK = 256
+# Windows standardized at a time by stack_epochs; its temporaries stay a
+# small fraction of the (N, C, T) float64 output.
+STACK_CHUNK = 64
 # Adam moment decays and denominator guard (the usual defaults).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -175,18 +178,30 @@ class TrainConfig:
 def standardize(epoch_data: np.ndarray) -> np.ndarray:
     """Zero-mean unit-std rows along the last axis (population std), for one
     window (C, T) or a stack (N, C, T); near-constant rows map to 0."""
-    x = np.asarray(epoch_data, dtype=np.float64)
+    x = np.array(epoch_data, dtype=np.float64)
     mu = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, keepdims=True)
-    return np.where(sd < 1e-9, 0.0, (x - mu) / np.where(sd < 1e-9, 1.0, sd))
+    flat = sd < 1e-9
+    x -= mu
+    x /= np.where(flat, 1.0, sd)
+    np.copyto(x, 0.0, where=flat)
+    return x
 
 
 def stack_epochs(epochs: list[Epoch]) -> tuple[np.ndarray, np.ndarray]:
     """Standardized float64 windows (N, C, T) and int64 labels (N,)."""
     if not epochs:
         raise ValueError("empty epoch set: training and evaluation need a non-empty one")
-    # Cast before the call, so the f32 stack is freed before standardizing.
-    x = standardize(np.stack([ep.data for ep in epochs]).astype(np.float64))
+    shape = epochs[0].data.shape
+    for i, ep in enumerate(epochs):
+        if ep.data.shape != shape:
+            raise ValueError(f"epoch {i} has shape {ep.data.shape}, epoch 0 has {shape}")
+    # Rows standardize independently, so filling chunk by chunk gives the
+    # same bits as standardizing one whole stack.
+    x = np.empty((len(epochs), *shape))
+    for lo in range(0, len(epochs), STACK_CHUNK):
+        chunk = epochs[lo : lo + STACK_CHUNK]
+        x[lo : lo + len(chunk)] = standardize(np.stack([ep.data for ep in chunk]))
     y = np.array([int(ep.label) for ep in epochs], dtype=np.int64)
     return x, y
 

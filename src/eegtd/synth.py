@@ -237,7 +237,6 @@ def render_eeg(schedule: EventSchedule, cfg: SynthConfig) -> Recording:
         )
     labels = list(CHANNEL_NAMES)
     n = schedule.total_samples
-    x = np.zeros((len(labels), n), dtype=np.float64)
 
     if cfg.background_sigma > 0:
         rng = np.random.default_rng(cfg.seed)
@@ -251,18 +250,21 @@ def render_eeg(schedule: EventSchedule, cfg: SynthConfig) -> Recording:
             [scale], [1.0, -a],
             rng.standard_normal((len(labels), n)), axis=1,
         )
-        mixing = _shared_noise_mixing(labels)
-        bg = mixing @ shared
-        bg += math.sqrt(1.0 - SPATIAL_NOISE_FRACTION) * own
-        bg *= cfg.background_sigma
+        # Scaled and summed in place: no session-sized temporaries.
+        own *= math.sqrt(1.0 - SPATIAL_NOISE_FRACTION)
+        x = _shared_noise_mixing(labels) @ shared
+        x += own
+        del own
+        x *= cfg.background_sigma
         for dyn in schedule.dynamics:
             if dyn.kind == DynamicsKind.WEATHER_SHIFT:
                 t_rel = np.arange(dyn.duration) / SAMPLING_RATE
                 gain = 1.0 + WEATHER_DEPTH * np.sin(
                     2.0 * np.pi * t_rel / WEATHER_PERIOD_S
                 )
-                bg[:, dyn.onset : dyn.end] *= gain
-        x += bg
+                x[:, dyn.onset : dyn.end] *= gain
+    else:
+        x = np.zeros((len(labels), n))
 
     w_target = spatial_weights(TARGET_PEAK, labels, SPATIAL_SIGMA)
     for ev in schedule.targets:

@@ -7,6 +7,7 @@ import pytest
 
 from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Epoch, Event, EventSchedule
 from eegtd.analysis import (
+    _score_windows,
     grand_average_erp,
     gradient_saliency,
     occlusion_saliency,
@@ -22,6 +23,7 @@ from eegtd.model import (
     init_model,
     loss,
     predict_batch,
+    stack_epochs,
     standardize,
     train,
 )
@@ -199,6 +201,19 @@ class TestOcclusionSaliency:
             )
         permuted = occlusion_saliency(permuted_model, permuted_epochs, MetricConfig())
         assert permuted.importance == pytest.approx(base[perm], abs=1e-12)
+
+    def test_matches_per_channel_copy_bit_for_bit(self, trained_single_channel_model):
+        model, epochs = trained_single_channel_model
+        x, y = stack_epochs(epochs)
+        baseline, _ = _score_windows(model, x, y, MetricConfig())
+        expected = []
+        for c in range(x.shape[1]):
+            ablated = x.copy()
+            ablated[:, c, :] = 0.0
+            expected.append(baseline - _score_windows(model, ablated, y, MetricConfig())[0])
+        result = occlusion_saliency(model, epochs, MetricConfig())
+        assert result.baseline_score == baseline
+        assert np.array_equal(result.importance, expected)
 
     def test_empty_set_rejected(self, trained_single_channel_model):
         model, _ = trained_single_channel_model

@@ -12,6 +12,7 @@ from eegtd.core import (
     ClassId,
     DynamicsEvent,
     DynamicsKind,
+    Epoch,
     Event,
     EventSchedule,
     FormatError,
@@ -51,6 +52,26 @@ class TestRecordingType:
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError):
             Recording(250.0, ["Cz"], np.zeros((2, 4)))
+
+
+class TestEpochType:
+    def test_read_only_view_leaves_caller_array_writeable(self):
+        samples = np.zeros((2, 10), dtype=np.float32)
+        ep = Epoch(samples[:, 2:7], ClassId.TRUE_TARGET, 2)
+        assert np.shares_memory(ep.data, samples)
+        with pytest.raises(ValueError):
+            ep.data[0, 0] = 1.0
+        assert samples.flags.writeable
+        samples[0, 2] = 3.0
+        assert ep.data[0, 0] == 3.0
+
+    def test_float64_input_cast_to_float32(self):
+        ep = Epoch(np.ones((2, 5)), ClassId.NON_TARGET, 0)
+        assert ep.data.dtype == np.float32
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Epoch(np.array([[0.0, np.inf]], np.float32), ClassId.NON_TARGET, 0)
 
 
 class TestEegrFormat:

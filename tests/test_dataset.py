@@ -253,6 +253,27 @@ class TestEvalDataset:
         assert target_onsets == [ev.onset for ev in sched.targets]
 
 
+class TestWindowsAreRecordingViews:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rec, sched: augment_minority(rec, sched, DatasetConfig()),
+            lambda rec, sched: sample_nontarget(rec, sched, DatasetConfig(), seed=3),
+            lambda rec, sched: build_eval_dataset(rec, sched, DatasetConfig(), seed=3),
+        ],
+        ids=["augment_minority", "sample_nontarget", "build_eval_dataset"],
+    )
+    def test_read_only_views(self, build):
+        rec = flat_recording(120000)
+        epochs = build(rec, video2n_shaped_schedule())
+        assert epochs
+        for ep in epochs:
+            assert np.shares_memory(ep.data, rec.samples)
+            with pytest.raises(ValueError):
+                ep.data[0, 0] = 0.0
+        assert rec.samples.flags.writeable
+
+
 class TestDatasetConfig:
     def test_stride_must_divide_window(self):
         with pytest.raises(ValueError, match="divide"):

@@ -2,6 +2,7 @@
 training determinism, serialization."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eegtd.core import ClassId, Epoch, FormatError
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta
 from eegtd.model import (
     PREDICT_CHUNK,
+    STACK_CHUNK,
     HierarchicalModel,
     NetConfig,
     StageNet,
@@ -27,6 +29,7 @@ from eegtd.model import (
     predict_batch,
     reset_loss_clamp_count,
     save_model,
+    stack_epochs,
     standardize,
     train,
     _backward_batch,
@@ -130,6 +133,63 @@ class TestStandardize:
         once = standardize(x)
         twice = standardize(once)
         assert np.abs(twice - once).max() < 1e-9
+
+    def test_matches_out_of_place_formula_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 4, 50)).astype(np.float32) * 9 + 3
+        x[1, 2] = 5.0
+        ref = x.astype(np.float64)
+        mu = ref.mean(axis=-1, keepdims=True)
+        sd = ref.std(axis=-1, keepdims=True)
+        ref = np.where(sd < 1e-9, 0.0, (ref - mu) / np.where(sd < 1e-9, 1.0, sd))
+        assert np.array_equal(standardize(x), ref)
+
+    def test_leaves_float64_input_untouched(self):
+        x = np.random.default_rng(3).standard_normal((4, 50))
+        before = x.copy()
+        standardize(x)
+        assert np.array_equal(x, before)
+
+
+def random_epochs(n, shape=(3, 20), seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        Epoch((rng.standard_normal(shape) * 5 + 2).astype(np.float32), ClassId(i % 3), i)
+        for i in range(n)
+    ]
+
+
+class TestStackEpochs:
+    def test_chunked_stack_equals_whole_stack_bit_for_bit(self):
+        epochs = random_epochs(2 * STACK_CHUNK + 1)
+        epochs[STACK_CHUNK + 3] = Epoch(np.full((3, 20), 4.0, np.float32), ClassId(1), 0)
+        x, y = stack_epochs(epochs)
+        ref = standardize(np.stack([ep.data for ep in epochs]).astype(np.float64))
+        assert x.dtype == np.float64
+        assert np.array_equal(x, ref)
+        assert np.array_equal(y, [int(ep.label) for ep in epochs])
+
+    @pytest.mark.parametrize("bad", [STACK_CHUNK, STACK_CHUNK + 1])
+    def test_shape_mismatch_names_the_epoch(self, bad):
+        epochs = random_epochs(2 * STACK_CHUNK)
+        # (3, 1) would broadcast into a (3, 20) slot of the output.
+        epochs[bad] = Epoch(np.ones((3, 1), np.float32), ClassId(0), 0)
+        with pytest.raises(ValueError, match=f"epoch {bad} has shape"):
+            stack_epochs(epochs)
+
+    def test_peak_memory_near_output_size(self):
+        rng = np.random.default_rng(4)
+        n, c, t = 1000, 32, 250
+        rec = rng.standard_normal((c, n * 25 + t)).astype(np.float32)
+        epochs = [Epoch(rec[:, i * 25 : i * 25 + t], ClassId(0), i * 25) for i in range(n)]
+        tracemalloc.start()
+        try:
+            x, _ = stack_epochs(epochs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (n, c, t)
+        assert peak <= 1.2 * x.nbytes
 
 
 class TestGradients:

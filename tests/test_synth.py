@@ -1,12 +1,23 @@
 """Schedule generator and synthetic EEG renderer."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from eegtd.core import ClassId, DynamicsKind, Event, EventSchedule
+from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Event, EventSchedule
 from eegtd.montage import CHANNEL_NAMES, spatial_weights
 from eegtd.synth import (
+    BACKGROUND_AR_COEFF,
+    CONFOUND_PEAK,
+    N_SHARED_NOISE_MODES,
+    SAMPLING_RATE,
+    SPATIAL_NOISE_FRACTION,
     SPATIAL_SIGMA,
+    TARGET_PEAK,
+    WEATHER_DEPTH,
+    WEATHER_PERIOD_S,
     StimulusProfile,
     SynthConfig,
     SynthError,
@@ -14,6 +25,8 @@ from eegtd.synth import (
     make_schedule,
     profile_by_name,
     render_eeg,
+    rotation_burst,
+    _shared_noise_mixing,
 )
 
 
@@ -174,6 +187,52 @@ class TestRenderEeg:
         rec = render_eeg(EventSchedule(1000, 250.0, [], []), SynthConfig())
         assert rec.channel_names == list(CHANNEL_NAMES)
         assert rec.sampling_rate == 250.0
+
+
+def out_of_place_render(schedule, cfg):
+    """The renderer's formula with a separate background array, as an oracle."""
+    labels = list(CHANNEL_NAMES)
+    n = schedule.total_samples
+    x = np.zeros((len(labels), n), dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    a = BACKGROUND_AR_COEFF
+    scale = math.sqrt(1.0 - a * a)
+    shared = lfilter([scale], [1.0, -a], rng.standard_normal((N_SHARED_NOISE_MODES, n)), axis=1)
+    own = lfilter([scale], [1.0, -a], rng.standard_normal((len(labels), n)), axis=1)
+    bg = _shared_noise_mixing(labels) @ shared
+    bg += math.sqrt(1.0 - SPATIAL_NOISE_FRACTION) * own
+    bg *= cfg.background_sigma
+    for dyn in schedule.dynamics:
+        if dyn.kind == DynamicsKind.WEATHER_SHIFT:
+            t_rel = np.arange(dyn.duration) / SAMPLING_RATE
+            bg[:, dyn.onset : dyn.end] *= 1.0 + WEATHER_DEPTH * np.sin(
+                2.0 * np.pi * t_rel / WEATHER_PERIOD_S
+            )
+    x += bg
+    w_target = spatial_weights(TARGET_PEAK, labels, SPATIAL_SIGMA)
+    for ev in schedule.targets:
+        g = erp_template(cfg, ev.class_id)
+        x[:, ev.onset : ev.onset + len(g)] += np.outer(w_target, g)
+    w_conf = spatial_weights(CONFOUND_PEAK, labels, SPATIAL_SIGMA)
+    for dyn in schedule.dynamics:
+        if dyn.kind == DynamicsKind.CAMERA_ROTATION:
+            x[:, dyn.onset : dyn.end] += np.outer(
+                w_conf, rotation_burst(cfg, dyn.onset, dyn.duration)
+            )
+    return x.astype(np.float32)
+
+
+class TestInPlaceRender:
+    def test_matches_out_of_place_formula_bit_for_bit(self):
+        sched = EventSchedule(
+            5000, 250.0,
+            [Event(1000, ClassId.TRUE_TARGET, 250), Event(3000, ClassId.ERROR_TARGET, 250)],
+            [DynamicsEvent(500, DynamicsKind.WEATHER_SHIFT, 2000),
+             DynamicsEvent(2500, DynamicsKind.CAMERA_ROTATION, 750)],
+        )
+        cfg = SynthConfig(confound_amp=12.0, seed=21)
+        rec = render_eeg(sched, cfg)
+        assert np.array_equal(rec.samples, out_of_place_render(sched, cfg))
 
 
 class TestTemplate:
