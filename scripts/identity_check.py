@@ -12,8 +12,9 @@ With BLAS pinned to one thread, this
 Every hashed output is kept under --out-dir. Pass --against with the
 --out-dir of another tree's run to compare: each file whose sum differs is
 reported with the size of the difference (detections.csv by time and class,
-arrays by their largest relative difference). The last line is the
-process's peak RSS, for information only: --against does not compare it.
+arrays by their largest relative difference), and the exit status is 1
+if any output differs, 0 if none does. The last line is the process's peak
+RSS, for information only: --against does not compare it.
 
 Usage:
     PYTHONPATH=src python scripts/identity_check.py --out-dir ids-new \\
@@ -134,7 +135,7 @@ def main() -> int:
     # ru_maxrss is in KiB on Linux.
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak_mb:.0f} MB (informational, not compared)")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -80,24 +80,23 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, args: list[str]) -> list[str]:
-    """Pull --config out of args and install its values as parser defaults."""
+    """Pull --config out of args and install its values as defaults of each
+    subcommand that has a flag of that name."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     found, _ = probe.parse_known_args(args)
     if not found.config:
         return args
     values = _load_config_file(found.config)
-    known = {
-        action.dest for action in parser._actions  # noqa: SLF001 - argparse has no public api
-    }
-    for sub_action in parser._subparsers._group_actions if parser._subparsers else []:
+    known: set[str] = set()
+    for sub_action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse has no public api
         for sub in sub_action.choices.values():
-            known |= {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in values.items() if k in known})
+            dests = {action.dest for action in sub._actions}
+            known |= dests
+            sub.set_defaults(**{k: v for k, v in values.items() if k in dests})
     unknown = set(values) - known
     if unknown:
         raise FormatError(f"unknown config keys: {sorted(unknown)}")
-    parser.set_defaults(**{k: v for k, v in values.items() if k in known})
     return args
 
 

@@ -23,6 +23,8 @@ import numpy as np
 
 EEGR_MAGIC = b"EEGR"
 EEGR_VERSION = 1
+# version, sampling_rate, n_channels, n_samples (after the magic).
+EEGR_HEADER = struct.Struct("<IdIQ")
 
 ROTATION_CSV_CODE = 100
 WEATHER_CSV_CODE = 101
@@ -204,8 +206,8 @@ def read_exact(source: BinaryIO, n: int, what: str) -> bytes:
 
 def write_recording(rec: Recording, destination: BinaryIO) -> int:
     """Serialize `rec` as EEGR; returns the number of bytes written."""
-    header = EEGR_MAGIC + struct.pack(
-        "<IdIQ", EEGR_VERSION, rec.sampling_rate, rec.n_channels, rec.n_samples
+    header = EEGR_MAGIC + EEGR_HEADER.pack(
+        EEGR_VERSION, rec.sampling_rate, rec.n_channels, rec.n_samples
     )
     written = destination.write(header)
     for name in rec.channel_names:
@@ -223,8 +225,8 @@ def read_recording(source: BinaryIO) -> Recording:
     magic = read_exact(source, 4, "magic")
     if magic != EEGR_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {EEGR_MAGIC!r}")
-    version, rate, n_channels, n_samples = struct.unpack(
-        "<IdIQ", read_exact(source, 24, "header")
+    version, rate, n_channels, n_samples = EEGR_HEADER.unpack(
+        read_exact(source, EEGR_HEADER.size, "header")
     )
     if version != EEGR_VERSION:
         raise FormatError(f"unsupported EEGR version {version}")

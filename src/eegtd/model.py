@@ -6,6 +6,12 @@ targets; the two binary softmaxes compose into a 3-class output
 convolution, spatial convolution collapsing the channel axis, conv/pool
 blocks with ELU activations, then a dense head with two logits.
 
+The temporal and spatial convolutions compose linearly, so they fuse into
+one kernel and every conv layer, front end and blocks alike, runs one body:
+convolution plus bias, ELU, max-pool, dropout. Dropout masks are drawn from
+the rng passed in, in forward order: stage A's front end, each block and
+dense hidden layer, then stage B's in the same order.
+
 All arithmetic is float64 numpy with hand-derived reverse-mode gradients;
 `backward` is checked against central finite differences in the tests.
 Training is Adam with decoupled weight decay and is bit-deterministic
@@ -28,6 +34,9 @@ from eegtd.seeding import child_seed
 
 HMDL_MAGIC = b"HMDL"
 HMDL_VERSION = 1
+# version, n_channels, window_len, temporal_filters, kernel_len, pool_len,
+# dense_hidden, dropout_rate, n_blocks (after the magic).
+HMDL_HEADER = struct.Struct("<IIIIIIIdI")
 LOSS_EPS = 1e-12
 # Windows per forward pass in predict_batch; bounds its activation memory.
 PREDICT_CHUNK = 256
@@ -224,13 +233,13 @@ def _maxpool(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, p: int, orig_len: int) -> np.ndarray:
+    """Route dout to each pool's argmax; dropped remainder samples get 0."""
     n = dout.shape[-1]
-    grad = np.zeros((*dout.shape[:-1], n, p))
-    np.put_along_axis(grad, idx[..., None], dout[..., None], axis=-1)
-    grad = grad.reshape(*dout.shape[:-1], n * p)
-    if n * p < orig_len:
-        pad = np.zeros((*dout.shape[:-1], orig_len - n * p))
-        grad = np.concatenate([grad, pad], axis=-1)
+    grad = np.zeros((*dout.shape[:-1], orig_len))
+    # Splitting the last axis of the trimmed slice is a view, so the scatter
+    # writes into grad.
+    pools = grad[..., : n * p].reshape(*dout.shape[:-1], n, p)
+    np.put_along_axis(pools, idx[..., None], dout[..., None], axis=-1)
     return grad
 
 
@@ -246,23 +255,15 @@ def compose_probs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.stack([pa[:, 0], pa[:, 1] * pb[:, 0], pa[:, 1] * pb[:, 1]], axis=1)
 
 
-def _draw_masks(
-    cfg: NetConfig, batch: int, rng: np.random.Generator
-) -> list[np.ndarray] | None:
-    """Inverted-dropout masks for the pooled front end, each block, and the
-    dense hidden layer (in that order); None when dropout is off."""
+def _dropout_mask(
+    cfg: NetConfig, shape: tuple[int, ...], rng: np.random.Generator | None
+) -> np.ndarray | None:
+    """Inverted-dropout mask drawn from rng; None (and no draw) in eval mode
+    or when dropout is off."""
     rate = cfg.dropout_rate
-    if rate == 0.0:
+    if rng is None or rate == 0.0:
         return None
-    steps = cfg.time_steps()
-    shapes = [(batch, cfg.temporal_filters, steps[0])]
-    shapes += [
-        (batch, g, steps[i + 1]) for i, g in enumerate(cfg.deep_filters)
-    ]
-    shapes.append((batch, cfg.dense_hidden))
-    return [
-        (rng.random(s) >= rate).astype(np.float64) / (1.0 - rate) for s in shapes
-    ]
+    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
 
 
 def _lag_conv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -294,54 +295,46 @@ def _lag_conv_input_grad(w: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return dx
 
 
+def _conv_layers(stage: StageNet, cfg: NetConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(kernel (G, C, K), bias (G,)) of each conv layer: the front end, then
+    each block."""
+    p = stage.params
+    # The temporal and spatial convolutions compose linearly (no activation
+    # between them), so the front end is one fused kernel weff (G, C, K).
+    weff = np.einsum("gfc,fk->gck", p["w_spat"], p["w_time"])
+    blocks = [(p[f"w_conv{i}"], p[f"b_conv{i}"]) for i in range(len(cfg.deep_filters))]
+    return [(weff, p["b_spat"])] + blocks
+
+
 def _stage_forward(
     stage: StageNet,
     cfg: NetConfig,
     x: np.ndarray,
-    masks: list[np.ndarray] | None,
+    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Logits (B, 2) plus the cache needed for the backward pass."""
+    """Logits (B, 2) plus the cache needed for the backward pass; an rng
+    switches dropout on."""
     p = stage.params
-    cache: dict = {"x": x}
-
-    # The temporal and spatial convolutions compose linearly (no activation
-    # between them), so they apply as one fused kernel weff (G, C, K): one
-    # (G, C) @ (C, T1) product per lag, summed over the K lags.
-    weff = np.einsum("gfc,fk->gck", p["w_spat"], p["w_time"])
-    cache["weff"] = weff
-    sp = _lag_conv(weff, x)  # (B, G, T1)
-    sp += p["b_spat"][None, :, None]
-    cache["sp"] = sp
-
-    act = _elu(sp)
-    pooled, idx, orig = _maxpool(act, cfg.pool_len)
-    cache["pool0"] = (idx, orig)
-    if masks is not None:
-        pooled = pooled * masks[0]
-    h = pooled
-
-    for i in range(len(cfg.deep_filters)):
-        z = _lag_conv(p[f"w_conv{i}"], h)
-        z += p[f"b_conv{i}"][None, :, None]
-        cache[f"in{i}"] = h
-        cache[f"z{i}"] = z
-        act = _elu(z)
-        pooled, idx, orig = _maxpool(act, cfg.pool_len)
-        cache[f"pool{i + 1}"] = (idx, orig)
-        if masks is not None:
-            pooled = pooled * masks[i + 1]
-        h = pooled
+    convs = _conv_layers(stage, cfg)
+    layers = []
+    h = x
+    for w, b in convs:
+        z = _lag_conv(w, h)
+        z += b[None, :, None]
+        pooled, idx, orig = _maxpool(_elu(z), cfg.pool_len)
+        mask = _dropout_mask(cfg, pooled.shape, rng)
+        layers.append((h, z, idx, orig, mask))
+        h = pooled if mask is None else pooled * mask
 
     flat = h.reshape(h.shape[0], -1)
-    cache["flat"] = flat
-    cache["h_shape"] = h.shape
     d1 = flat @ p["w_dense"] + p["b_dense"]
-    cache["d1"] = d1
     hid = _elu(d1)
-    if masks is not None:
-        hid = hid * masks[-1]
-    cache["hid"] = hid
+    mask = _dropout_mask(cfg, hid.shape, rng)
+    if mask is not None:
+        hid = hid * mask
     logits = hid @ p["w_out"] + p["b_out"]
+    cache = {"convs": convs, "layers": layers, "flat": flat, "d1": d1,
+             "hid": hid, "dense_mask": mask}
     return logits, cache
 
 
@@ -350,7 +343,6 @@ def _stage_backward(
     cfg: NetConfig,
     cache: dict,
     dlogits: np.ndarray,
-    masks: list[np.ndarray] | None,
     need_input_grad: bool = False,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Parameter gradients plus (optionally) the gradient w.r.t. the input."""
@@ -360,60 +352,50 @@ def _stage_backward(
     grads["w_out"] = cache["hid"].T @ dlogits
     grads["b_out"] = dlogits.sum(axis=0)
     dhid = dlogits @ p["w_out"].T
-    if masks is not None:
-        dhid = dhid * masks[-1]
+    if cache["dense_mask"] is not None:
+        dhid = dhid * cache["dense_mask"]
     dd1 = dhid * _elu_grad(cache["d1"])
     grads["w_dense"] = cache["flat"].T @ dd1
     grads["b_dense"] = dd1.sum(axis=0)
-    dh = (dd1 @ p["w_dense"].T).reshape(cache["h_shape"])
+    layers = cache["layers"]
+    # The last layer's pool indices have its pooled output's shape.
+    dh = (dd1 @ p["w_dense"].T).reshape(layers[-1][2].shape)
 
-    for i in reversed(range(len(cfg.deep_filters))):
-        if masks is not None:
-            dh = dh * masks[i + 1]
-        idx, orig = cache[f"pool{i + 1}"]
-        dact = _maxpool_backward(dh, idx, cfg.pool_len, orig)
-        dz = dact * _elu_grad(cache[f"z{i}"])
-        grads[f"w_conv{i}"] = _lag_conv_weight_grad(dz, cache[f"in{i}"])
-        grads[f"b_conv{i}"] = dz.sum(axis=(0, 2))
-        dh = _lag_conv_input_grad(p[f"w_conv{i}"], dz)
-
-    if masks is not None:
-        dh = dh * masks[0]
-    idx, orig = cache["pool0"]
-    dact = _maxpool_backward(dh, idx, cfg.pool_len, orig)
-    dsp = dact * _elu_grad(cache["sp"])
-    grads["b_spat"] = dsp.sum(axis=(0, 2))
-
-    dweff = _lag_conv_weight_grad(dsp, cache["x"])
-    # Unfuse: weff[g,c,k] = sum_f w_spat[g,f,c] * w_time[f,k].
-    grads["w_time"] = np.einsum("gck,gfc->fk", dweff, p["w_spat"])
-    grads["w_spat"] = np.einsum("gck,fk->gfc", dweff, p["w_time"])
-    if not need_input_grad:
-        return grads, None
-    return grads, _lag_conv_input_grad(cache["weff"], dsp)
+    for i in reversed(range(len(layers))):
+        h_in, z, idx, orig, mask = layers[i]
+        if mask is not None:
+            dh = dh * mask
+        dz = _maxpool_backward(dh, idx, cfg.pool_len, orig) * _elu_grad(z)
+        dw = _lag_conv_weight_grad(dz, h_in)
+        db = dz.sum(axis=(0, 2))
+        if i > 0:
+            grads[f"w_conv{i - 1}"], grads[f"b_conv{i - 1}"] = dw, db
+        else:
+            # Unfuse: weff[g,c,k] = sum_f w_spat[g,f,c] * w_time[f,k].
+            grads["b_spat"] = db
+            grads["w_time"] = np.einsum("gck,gfc->fk", dw, p["w_spat"])
+            grads["w_spat"] = np.einsum("gck,fk->gfc", dw, p["w_time"])
+        if i > 0 or need_input_grad:
+            dh = _lag_conv_input_grad(cache["convs"][i][0], dz)
+    return grads, dh if need_input_grad else None
 
 
 def _forward_batch(
     model: HierarchicalModel,
     x: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Both stages' softmax outputs for standardized input (B, C, T)."""
+) -> tuple[np.ndarray, np.ndarray, tuple[dict, dict]]:
+    """Both stages' softmax outputs for standardized input (B, C, T), and
+    their backward caches."""
     cfg = model.config
     if x.ndim != 3 or x.shape[1:] != (cfg.n_channels, cfg.window_len):
         raise ValueError(
             f"input shape {x.shape} does not match (batch, {cfg.n_channels}, "
             f"{cfg.window_len})"
         )
-    masks_a = masks_b = None
-    if rng is not None:
-        masks_a = _draw_masks(cfg, x.shape[0], rng)
-        masks_b = _draw_masks(cfg, x.shape[0], rng)
-    la, cache_a = _stage_forward(model.stage_a, cfg, x, masks_a)
-    lb, cache_b = _stage_forward(model.stage_b, cfg, x, masks_b)
-    ctx = {"cache_a": cache_a, "cache_b": cache_b,
-           "masks_a": masks_a, "masks_b": masks_b}
-    return _softmax2(la), _softmax2(lb), ctx
+    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng)
+    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng)
+    return _softmax2(la), _softmax2(lb), (cache_a, cache_b)
 
 
 def forward(
@@ -454,7 +436,7 @@ def _backward_batch(
     Returns ({"stage_a": {...}, "stage_b": {...}}, mean_loss, d_input);
     d_input is None unless requested.
     """
-    pa, pb, ctx = _forward_batch(model, x, rng)
+    pa, pb, (cache_a, cache_b) = _forward_batch(model, x, rng)
     losses = _cross_entropy(compose_probs(pa, pb), labels)
     b = x.shape[0]
     is_target = labels > 0
@@ -471,12 +453,8 @@ def _backward_batch(
         dlb[rows] = (pb[rows] - onehot_b) / b
 
     cfg = model.config
-    grads_a, dx_a = _stage_backward(
-        model.stage_a, cfg, ctx["cache_a"], dla, ctx["masks_a"], need_input_grad
-    )
-    grads_b, dx_b = _stage_backward(
-        model.stage_b, cfg, ctx["cache_b"], dlb, ctx["masks_b"], need_input_grad
-    )
+    grads_a, dx_a = _stage_backward(model.stage_a, cfg, cache_a, dla, need_input_grad)
+    grads_b, dx_b = _stage_backward(model.stage_b, cfg, cache_b, dlb, need_input_grad)
     dx = dx_a + dx_b if need_input_grad else None
     return {"stage_a": grads_a, "stage_b": grads_b}, float(losses.mean()), dx
 
@@ -596,8 +574,7 @@ def write_loss_trace(trace: list[float], destination) -> None:
 def save_model(model: HierarchicalModel, destination: BinaryIO) -> int:
     """HMDL format: magic, version, config fields, then f64 parameter blobs."""
     cfg = model.config
-    head = HMDL_MAGIC + struct.pack(
-        "<IIIIIIIdI",
+    head = HMDL_MAGIC + HMDL_HEADER.pack(
         HMDL_VERSION,
         cfg.n_channels,
         cfg.window_len,
@@ -620,8 +597,8 @@ def load_model(source: BinaryIO) -> HierarchicalModel:
     if magic != HMDL_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {HMDL_MAGIC!r}")
     (version, n_channels, window_len, temporal_filters, kernel_len, pool_len,
-     dense_hidden, dropout_rate, n_blocks) = struct.unpack(
-        "<IIIIIIIdI", read_exact(source, 40, "header")
+     dense_hidden, dropout_rate, n_blocks) = HMDL_HEADER.unpack(
+        read_exact(source, HMDL_HEADER.size, "header")
     )
     if version != HMDL_VERSION:
         raise FormatError(f"unsupported model version {version}")

@@ -208,7 +208,7 @@ class TestConfigFile:
 
     def test_config_stride_sets_only_the_training_stride(self, tmp_path):
         cfg = tmp_path / "conf"
-        cfg.write_text("stride=50\n")
+        cfg.write_text("stride=50\nwindow_len=200\nthreshold=0.9\n")
         parser = build_parser()
         online = parser.parse_args(_apply_config_defaults(
             parser, ["infer-online", "--config", str(cfg), "--connect", "h:1",
@@ -218,7 +218,12 @@ class TestConfigFile:
             ["train", "--recording", "r", "--schedule", "s", "--out-model", "m"]
         )
         assert online.infer_stride == OnlineConfig.infer_stride
+        assert online.threshold == 0.9
+        assert not hasattr(online, "stride")
+        assert not hasattr(online, "window_len")
         assert train.stride == 50
+        assert train.window_len == 200
+        assert not hasattr(train, "threshold")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "conf"

@@ -265,10 +265,17 @@ def reference_conv_grads(dz, x, w):
     return dw, dx
 
 
-def reference_stage(p, cfg, x, dlogits_of):
-    """One stage without dropout, forward then backward, with every
-    convolution by reference_conv: (logits, parameter grads, input grad).
-    dlogits_of maps the logits to the loss gradient."""
+def reference_stage(p, cfg, x, dlogits_of, rng=None):
+    """One stage, forward then backward, with every convolution by
+    reference_conv: (logits, parameter grads, input grad). dlogits_of maps
+    the logits to the loss gradient. With an rng, inverted-dropout masks are
+    drawn from it after each pooled conv layer and then after the dense
+    hidden layer, in that order."""
+    def mask(shape):
+        if rng is None:
+            return np.ones(shape)
+        return (rng.random(shape) >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
+
     weff = np.einsum("gfc,fk->gck", p["w_spat"], p["w_time"])
     convs = [(weff, p["b_spat"])]
     convs += [(p[f"w_conv{i}"], p[f"b_conv{i}"]) for i in range(len(cfg.deep_filters))]
@@ -277,21 +284,23 @@ def reference_stage(p, cfg, x, dlogits_of):
     for w, b in convs:
         z = reference_conv(w, h) + b[None, :, None]
         pooled, idx, orig = _maxpool(_elu(z), cfg.pool_len)
-        layers.append((h, z, idx, orig))
-        h = pooled
+        m = mask(pooled.shape)
+        layers.append((h, z, idx, orig, m))
+        h = pooled * m
     flat = h.reshape(len(x), -1)
     d1 = flat @ p["w_dense"] + p["b_dense"]
-    hid = _elu(d1)
+    m_hid = mask(d1.shape)
+    hid = _elu(d1) * m_hid
     logits = hid @ p["w_out"] + p["b_out"]
 
     dl = dlogits_of(logits)
     g = {"w_out": hid.T @ dl, "b_out": dl.sum(axis=0)}
-    dd1 = (dl @ p["w_out"].T) * _elu_grad(d1)
+    dd1 = (dl @ p["w_out"].T) * m_hid * _elu_grad(d1)
     g["w_dense"], g["b_dense"] = flat.T @ dd1, dd1.sum(axis=0)
     dh = (dd1 @ p["w_dense"].T).reshape(h.shape)
     for i in reversed(range(len(convs))):
-        h_in, z, idx, orig = layers[i]
-        dz = _maxpool_backward(dh, idx, cfg.pool_len, orig) * _elu_grad(z)
+        h_in, z, idx, orig, m = layers[i]
+        dz = _maxpool_backward(dh * m, idx, cfg.pool_len, orig) * _elu_grad(z)
         dw, dh = reference_conv_grads(dz, h_in, convs[i][0])
         if i == 0:
             g["b_spat"] = dz.sum(axis=(0, 2))
@@ -342,6 +351,36 @@ class TestDefaultConfigReference:
             for name, value in ref.items():
                 assert_close(grads[stage_name][name], value, f"{stage_name}.{name}")
         assert_close(dx, dx_a + dx_b, "input gradient")
+
+    def test_backward_batch_with_dropout_matches_reference(self):
+        # Masks come from the rng in the order stage A (front end, each
+        # block, dense hidden), then stage B.
+        cfg = NetConfig()
+        assert cfg.dropout_rate > 0
+        model = init_model(cfg, seed=4)
+        labels = np.array([0, 1, 2, 1, 2])
+        b = len(labels)
+        x = standardize(np.random.default_rng(3).standard_normal((b, 32, 250)))
+        target = labels > 0
+
+        def d_a(logits):
+            return (_softmax2(logits) - np.eye(2)[target.astype(int)]) / b
+
+        def d_b(logits):
+            onehot = np.eye(2)[np.maximum(labels - 1, 0)]
+            return np.where(target[:, None], _softmax2(logits) - onehot, 0.0) / b
+
+        rng = np.random.default_rng(5)
+        la, ref_a, _ = reference_stage(model.stage_a.params, cfg, x, d_a, rng)
+        lb, ref_b, _ = reference_stage(model.stage_b.params, cfg, x, d_b, rng)
+        grads, mean_loss, _ = _backward_batch(model, x, labels, np.random.default_rng(5))
+        ref_loss = -np.log(compose_probs(_softmax2(la), _softmax2(lb))[np.arange(b), labels])
+        assert mean_loss == pytest.approx(ref_loss.mean(), rel=1e-12)
+        _, no_dropout_loss, _ = _backward_batch(model, x, labels)
+        assert mean_loss != pytest.approx(no_dropout_loss, rel=1e-6)
+        for stage_name, ref in (("stage_a", ref_a), ("stage_b", ref_b)):
+            for name, value in ref.items():
+                assert_close(grads[stage_name][name], value, f"{stage_name}.{name}")
 
 
 def make_toy_epochs(n_per_class=40, seed=0):
