@@ -295,6 +295,14 @@ def _lag_conv_input_grad(w: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return dx
 
 
+def _rowwise_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a (B, F) @ w (F, H) as one vector-matrix product per row. A plain
+    (B, F) @ w takes a different BLAS kernel at B=1 than at B >= 2, and the
+    two round differently; row by row, a window's result is the same bits
+    whatever batch it is computed in."""
+    return np.matmul(a[:, None, :], w)[:, 0]
+
+
 def _conv_layers(stage: StageNet, cfg: NetConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(kernel (G, C, K), bias (G,)) of each conv layer: the front end, then
     each block."""
@@ -327,12 +335,12 @@ def _stage_forward(
         h = pooled if mask is None else pooled * mask
 
     flat = h.reshape(h.shape[0], -1)
-    d1 = flat @ p["w_dense"] + p["b_dense"]
+    d1 = _rowwise_matmul(flat, p["w_dense"]) + p["b_dense"]
     hid = _elu(d1)
     mask = _dropout_mask(cfg, hid.shape, rng)
     if mask is not None:
         hid = hid * mask
-    logits = hid @ p["w_out"] + p["b_out"]
+    logits = _rowwise_matmul(hid, p["w_out"]) + p["b_out"]
     cache = {"convs": convs, "layers": layers, "flat": flat, "d1": d1,
              "hid": hid, "dense_mask": mask}
     return logits, cache

@@ -2,8 +2,11 @@
 with event markers, a wall-clock-paced replay server, a validating client,
 and the debounced online inference engine.
 
-The client runs in one thread: it decodes each Data block and pushes it
-into the engine before reading the next. The socket buffer holds the
+The client runs in one thread. It reads the socket RECV_BYTES at a time
+and, just before each read and at Stop, hands its sink every Data block
+decoded since the last hand-over as one burst. `stream_online_inference`
+pushes each burst into the engine, which scores all the windows the burst
+completes in one batched forward pass. The socket buffer holds the
 backlog; once it is full, the server's `sendall` blocks, so no frame is
 dropped.
 
@@ -26,11 +29,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eegtd.core import KIND_TO_CSV, ClassId, EventSchedule, Recording
 from eegtd.dataset import check_same_length
 from eegtd.metrics import Detection
-from eegtd.model import HierarchicalModel, forward, standardize
+from eegtd.model import HierarchicalModel, predict_batch, standardize
 
 log = logging.getLogger("eegtd.stream")
 
@@ -42,6 +46,10 @@ MSG_START, MSG_DATA, MSG_STOP = 1, 2, 3
 MAX_START_PAYLOAD = 1 << 20
 MAX_CHANNELS = 1024
 MAX_BLOCK_FRAMES = 4096
+# Bytes the client asks of the socket at a time. A burst holds the blocks
+# one such read completes, which bounds the engine's batch: about 50 default
+# blocks (500 frames of 32 channels, 20 windows).
+RECV_BYTES = 1 << 16
 
 
 class ProtocolError(RuntimeError):
@@ -393,25 +401,44 @@ def _parse_endpoint(endpoint: str | tuple[str, int]) -> tuple[str, int]:
 
 def client_receive(
     endpoint: str | tuple[str, int],
-    sink: Callable[[DataMessage], None],
+    sink: Callable[[list[DataMessage]], None],
     timeout_s: float = 30.0,
 ) -> StreamSummary:
-    """Receive one full session, validating order and continuity; every Data
-    block is handed to `sink` in order. A reset or stalled connection raises
-    ConnectionLost; an error raised by `sink` propagates unchanged."""
+    """Receive one full session, validating order and continuity.
+
+    Data blocks reach `sink` in order, in bursts: each call gets the list of
+    blocks decoded since the last one. The list is handed over just before
+    every `recv`, which may block, and at Stop, so no decoded block waits on
+    the network. A reset or stalled connection raises ConnectionLost; an
+    error raised by `sink` propagates unchanged.
+    """
     host, port = _parse_endpoint(endpoint)
     t_start = time.monotonic()
+    pending: list[DataMessage] = []
+
+    def flush() -> None:
+        if pending:
+            burst = pending.copy()
+            pending.clear()
+            sink(burst)
+
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
+        received = memoryview(b"")
 
-        def recv(n: int) -> bytes:
-            try:
-                return sock.recv(n)
-            except OSError as exc:  # a reset, or a peer silent past timeout_s
-                raise ConnectionLost(
-                    f"connection lost: {exc}", reader.frames_delivered
-                ) from exc
+        def read(n: int) -> bytes:
+            nonlocal received
+            if not received:
+                flush()
+                try:
+                    received = memoryview(sock.recv(RECV_BYTES))
+                except OSError as exc:  # a reset, or a peer silent past timeout_s
+                    raise ConnectionLost(
+                        f"connection lost: {exc}", reader.frames_delivered
+                    ) from exc
+            chunk, received = received[:n], received[n:]
+            return bytes(chunk)
 
-        reader = EspStreamReader(recv)
+        reader = EspStreamReader(read)
         if not isinstance(reader.next_message(), StartMessage):
             raise ProtocolError("stream did not begin with Start")
         n_blocks = 0
@@ -422,9 +449,10 @@ def client_receive(
                 break
             if isinstance(msg, DataMessage):
                 n_blocks += 1
-                sink(msg)
+                pending.append(msg)
             elif isinstance(msg, StopMessage):
                 stop = msg
+        flush()
     if stop is None:
         raise ConnectionLost("stream ended without Stop", reader.frames_delivered)
     if stop.total_samples != reader.frames_delivered:
@@ -493,17 +521,24 @@ class OnlineEngine:
     """Debounced sliding-window detector over an incoming frame stream.
 
     Every `infer_stride` new frames (once a full window is buffered) the
-    latest window is classified. Windows with target probability
-    1 - p(non-target) at or above the trigger threshold extend the current
-    run; any other window clears it. Once the run holds
-    `consecutive_required` windows and the refractory interval from the last
-    emission has fully elapsed, a Detection is emitted at the current stream
-    position with the class whose summed probability over the run is larger
-    (ties favor the true-target class) and the run resets.
+    latest window is classified; a `push` scores every window its frames
+    complete in one batch and debounces them in stream order. Windows with
+    target probability 1 - p(non-target) at or above the trigger threshold
+    extend the current run; any other window clears it. Once the run holds
+    `consecutive_required` windows and the refractory interval from the
+    last emission has fully elapsed, a Detection is emitted at the current
+    stream position with the class whose summed probability over the run
+    is larger (ties favor the true-target class) and the run resets. The
+    run keeps growing while the refractory interval holds emission, so the
+    first detection after a refractory averages its confidence and votes
+    its class over every window of the run, up to refractory / infer_stride
+    windows, not only the last `consecutive_required`.
 
-    `model` may be a HierarchicalModel (windows are standardized before the
-    forward pass) or any callable mapping a raw (n_channels, window_len)
-    array to a 3-probability vector.
+    `model` may be a HierarchicalModel (windows are standardized and scored
+    by `predict_batch`, whose rows do not depend on the batch, so neither do
+    the detections on how the stream is split into pushes) or any callable
+    mapping a raw (n_channels, window_len) array to a 3-probability vector,
+    called once per window.
     """
 
     def __init__(
@@ -516,13 +551,13 @@ class OnlineEngine:
         if isinstance(model, HierarchicalModel):
             window_len = model.config.window_len
             n_channels = model.config.n_channels
-            self._predict = lambda w: forward(model, standardize(w))
+            self._predict = lambda windows: predict_batch(model, standardize(windows))[1]
         elif callable(model):
             if window_len is None or n_channels is None:
                 raise ValueError(
                     "callable predictors need explicit window_len and n_channels"
                 )
-            self._predict = model
+            self._predict = lambda windows: np.stack([model(w) for w in windows])
         else:
             raise TypeError(f"unsupported model {model!r}")
         self.cfg = cfg
@@ -538,30 +573,40 @@ class OnlineEngine:
         """Feed sample-major frames; returns detections emitted by this call.
 
         Frames whose channel count differs from the model's raise
-        ProtocolError before any of them is buffered.
+        ProtocolError before any of them is buffered. The windows this call
+        scores are held at once, so its memory grows with the frames pushed.
         """
         frames = np.asarray(frames)
         if frames.shape[1] != self.n_channels:
             raise ProtocolError(
                 f"stream has {frames.shape[1]} channels, model {self.n_channels}"
             )
-        emitted: list[Detection] = []
-        pos = 0
-        while pos < frames.shape[0]:
-            take = min(frames.shape[0] - pos, self._next_eval - self.ring.write_head)
-            self.ring.write(frames[pos : pos + take])
-            pos += take
-            if self.ring.write_head == self._next_eval:
-                det = self._evaluate(self._next_eval)
-                if det is not None:
-                    emitted.append(det)
-                self._next_eval += self.cfg.infer_stride
+        w, stride = self.window_len, self.cfg.infer_stride
+        head = self.ring.write_head
+        ends = range(self._next_eval, head + frames.shape[0] + 1, stride)
+        # The first window these frames complete starts at most w - 1
+        # buffered samples back.
+        tail = self.ring.read_last(min(w - 1, head))
+        self.ring.write(frames)
+        if not ends:
+            return []
+        self._next_eval = ends[-1] + stride
+        x = np.concatenate((tail, frames.T), axis=1, dtype=np.float32)
+        first = ends[0] - w - (head - tail.shape[1])
+        # C-ordered windows, so each standardizes bit for bit like an
+        # offline slice.
+        windows = np.ascontiguousarray(
+            sliding_window_view(x, w, axis=1)[:, first::stride].transpose(1, 0, 2)
+        )
+        emitted = []
+        for now, probs in zip(ends, self._predict(windows)):
+            det = self._evaluate(now, probs)
+            if det is not None:
+                emitted.append(det)
         self.detections.extend(emitted)
         return emitted
 
-    def _evaluate(self, now: int) -> Detection | None:
-        window = self.ring.read_last(self.window_len)
-        probs = self._predict(window)
+    def _evaluate(self, now: int, probs: np.ndarray) -> Detection | None:
         p_target = 1.0 - float(probs[0])
         if p_target >= self.cfg.trigger_threshold:
             self._run.append((float(probs[1]), float(probs[2]), p_target))
@@ -593,16 +638,19 @@ def stream_online_inference(
     """Receive a session and run online inference on it, in the caller's
     thread; returns the detections in time order and the stream summary.
 
-    Each Data block is pushed into the engine as soon as it is decoded.
-    While the engine works, later blocks wait in the socket buffer; once
-    that is full, the server's `sendall` blocks, so no frame is dropped. An
-    engine error propagates to the caller, and `client_receive` closes the
-    connection on the way out.
+    Each burst of Data blocks `client_receive` hands over (every block
+    decoded before it next waits on the socket) is pushed into the engine
+    as one run of frames, so the windows it completes are scored in one
+    batch. While the engine works, later blocks wait in the socket buffer;
+    once that is full, the server's `sendall` blocks, so no frame is
+    dropped. An engine error propagates to the caller, and `client_receive`
+    closes the connection on the way out.
     """
     engine = OnlineEngine(model, cfg, window_len, n_channels)
 
-    def sink(msg: DataMessage) -> None:
-        for det in engine.push(msg.frames):
+    def sink(burst: list[DataMessage]) -> None:
+        frames = np.concatenate([msg.frames for msg in burst])
+        for det in engine.push(frames):
             log.info(
                 "detection time=%d class=%d confidence=%.3f",
                 det.time, int(det.class_id), det.confidence,

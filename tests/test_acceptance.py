@@ -243,11 +243,12 @@ def _stream_once(rec, schedule, speed):
     markers: list[tuple[int, int]] = []
     seen = [0]
 
-    def sink(msg: DataMessage):
-        frames.append(msg.frames)
-        for off, code in msg.markers:
-            markers.append((seen[0] + off, code))
-        seen[0] += msg.n_frames
+    def sink(burst: list[DataMessage]):
+        for msg in burst:
+            frames.append(msg.frames)
+            for off, code in msg.markers:
+                markers.append((seen[0] + off, code))
+            seen[0] += msg.n_frames
 
     server = ReplayServer(rec, schedule, chunk_ms=40.0, speed=speed)
     with server:

@@ -515,6 +515,20 @@ class TestPredict:
         np.testing.assert_allclose(probs, single, rtol=1e-12)
         assert np.array_equal(labels, single.argmax(axis=1))
 
+    @pytest.mark.parametrize("b", [2, 7, 64, 300])
+    def test_rows_equal_single_window_forward_bit_for_bit(self, b):
+        # The online engine scores whatever windows a received burst
+        # completes in one batch, so a row must not depend on the batch.
+        # Weights 4x the init scale make the output feel the last bits.
+        model = init_model(NetConfig(), seed=6)
+        for stage in (model.stage_a, model.stage_b):
+            for value in stage.params.values():
+                value *= 4.0
+        x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
+        _, probs = predict_batch(model, x)
+        for row, window in zip(probs, x):
+            assert np.array_equal(row, forward(model, window))
+
     def test_dimension_mismatch(self, tiny_model):
         with pytest.raises(ValueError, match="shape"):
             forward(tiny_model, np.zeros((3, 21)))

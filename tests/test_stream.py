@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegtd import stream
 from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Event, EventSchedule, Recording
 from eegtd.model import NetConfig, forward, init_model, standardize
 from eegtd.stream import (
@@ -22,10 +23,12 @@ from eegtd.stream import (
     OnlineConfig,
     OnlineEngine,
     ProtocolError,
+    RECV_BYTES,
     ReplayServer,
     RingBuffer,
     StartMessage,
     StopMessage,
+    StreamSummary,
     client_receive,
     encode_message,
     stream_online_inference,
@@ -221,11 +224,12 @@ class TestReplayServer:
         markers: list[tuple[int, int]] = []
         offset = [0]
 
-        def sink(msg: DataMessage):
-            frames.append(msg.frames)
-            for off, code in msg.markers:
-                markers.append((offset[0] + off, code))
-            offset[0] += msg.n_frames
+        def sink(burst: list[DataMessage]):
+            for msg in burst:
+                frames.append(msg.frames)
+                for off, code in msg.markers:
+                    markers.append((offset[0] + off, code))
+                offset[0] += msg.n_frames
 
         with server:
             server.serve_in_thread()
@@ -271,9 +275,10 @@ class TestReplayServer:
         server = ReplayServer(rec, schedule, chunk_ms=40.0, speed=float("inf"))
         marker_blocks = {}
 
-        def sink(msg):
-            for off, code in msg.markers:
-                marker_blocks[msg.block_index] = (off, code)
+        def sink(burst):
+            for msg in burst:
+                for off, code in msg.markers:
+                    marker_blocks[msg.block_index] = (off, code)
 
         with server:
             server.serve_in_thread()
@@ -310,10 +315,11 @@ class TestReplayServer:
 
         received = []
 
-        def sink(msg):
-            received.append(msg.n_frames)
-            if len(received) == 3:
-                raise KeyboardInterrupt  # simulate local abort -> socket close
+        def sink(burst):
+            for msg in burst:
+                received.append(msg.n_frames)
+                if len(received) == 3:
+                    raise KeyboardInterrupt  # simulate local abort -> socket close
 
         with server:
             server.serve_in_thread()
@@ -369,14 +375,17 @@ class TestTransportErrors:
             conn.sendall(self.START + self.BLOCK)
             release.wait(10.0)
 
+        bursts = []
         endpoint, thread = one_shot_peer(stall)
         try:
             with pytest.raises(ConnectionLost) as info:
-                client_receive(endpoint, lambda msg: None, timeout_s=0.3)
+                client_receive(endpoint, bursts.append, timeout_s=0.3)
         finally:
             release.set()
             thread.join(10.0)
         assert info.value.frames_received == 10
+        # The block is handed over before the recv that stalls.
+        assert [msg.n_frames for burst in bursts for msg in burst] == [10]
 
     def test_sink_errors_are_not_mapped(self):
         def send_all(conn):
@@ -390,6 +399,46 @@ class TestTransportErrors:
             client_receive(endpoint, sink, timeout_s=10.0)
         thread.join(10.0)
         assert not isinstance(info.value, ProtocolError)
+
+
+class TestBursts:
+    def receive(self, wire: bytes) -> tuple[list[list[DataMessage]], StreamSummary]:
+        """Send `wire` in one sendall; return the sink's bursts and the summary."""
+        bursts: list[list[DataMessage]] = []
+        endpoint, thread = one_shot_peer(lambda conn: conn.sendall(wire))
+        summary = client_receive(endpoint, bursts.append, timeout_s=10.0)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        return bursts, summary
+
+    def test_blocks_sent_at_once_arrive_in_order_in_bursts(self):
+        blocks = [
+            DataMessage(k, np.full((10, 2), k, dtype=np.float32), [(k % 10, 1)])
+            for k in range(2000)
+        ]
+        encoded = [encode_message(msg) for msg in blocks]
+        start = encode_message(StartMessage(250.0, 2, ("Cz", "Oz")))
+        stop = encode_message(StopMessage(10 * len(blocks)))
+        assert sum(map(len, encoded)) > 3 * RECV_BYTES
+        bursts, summary = self.receive(start + b"".join(encoded) + stop)
+        assert [msg for burst in bursts for msg in burst] == blocks
+        assert summary.n_blocks == len(blocks)
+        assert len(bursts) < len(blocks)
+        # A burst holds what one recv completes: at most RECV_BYTES plus
+        # the block that straddles the previous recv.
+        assert max(map(len, bursts)) * len(encoded[0]) <= RECV_BYTES + len(encoded[0])
+
+    def test_block_larger_than_one_recv(self):
+        frames = np.random.default_rng(0).standard_normal((MAX_BLOCK_FRAMES, 32))
+        block = DataMessage(0, frames.astype(np.float32), [(4095, 2)])
+        encoded = encode_message(block)
+        assert len(encoded) > RECV_BYTES
+        start = encode_message(StartMessage(250.0, 32, tuple(f"c{i}" for i in range(32))))
+        bursts, summary = self.receive(
+            start + encoded + encode_message(StopMessage(MAX_BLOCK_FRAMES))
+        )
+        assert bursts == [[block]]
+        assert summary.total_frames == MAX_BLOCK_FRAMES
 
 
 def step_stub(recording: Recording):
@@ -483,11 +532,11 @@ class TestOnlineEngine:
         rec = flag_recording(2500, [(1000, 1025), (1100, 1125)])
         assert self.run_engine(rec) == []
 
-    def test_confidence_equals_offline_forward_exactly(self):
+    def test_confidence_equals_offline_forward_exactly(self, monkeypatch):
         # The engine classifies the same C-ordered window an offline slice
         # gives. With one-window runs and no refractory hold, each confidence
         # is bit-equal to the offline forward pass over the samples that end
-        # at the detection.
+        # at the detection, however the frames are split into pushes.
         rec = make_recording(3000, n_channels=4, seed=3)
         model = init_model(NetConfig(n_channels=4), seed=2)
         # Weights 4x the init scale make the output depend on the last bits
@@ -496,15 +545,57 @@ class TestOnlineEngine:
             for value in stage.params.values():
                 value *= 4.0
         cfg = OnlineConfig(trigger_threshold=0.01, consecutive_required=1, refractory=1)
-        engine = OnlineEngine(model, cfg)
-        frames = rec.samples.T
-        for lo in range(0, frames.shape[0], 10):
-            engine.push(frames[lo : lo + 10])
-        assert len(engine.detections) >= 5
         w = model.config.window_len
-        for det in engine.detections:
+        batches = []
+        predict_batch = stream.predict_batch
+
+        def counted(model, x):
+            batches.append(len(x))
+            return predict_batch(model, x)
+
+        monkeypatch.setattr(stream, "predict_batch", counted)
+        frames = rec.samples.T
+        runs = {}
+        for chunk in (10, 113, len(frames)):
+            engine = OnlineEngine(model, cfg)
+            for lo in range(0, frames.shape[0], chunk):
+                before = len(batches)
+                hi = min(lo + chunk, len(frames))
+                completed = sum(1 for end in range(w, hi + 1, cfg.infer_stride) if end > lo)
+                engine.push(frames[lo:hi])
+                # The windows a push completes are scored in one batch.
+                assert batches[before:] == ([completed] if completed else [])
+            runs[chunk] = engine.detections
+        assert batches[-1] == (len(frames) - w) // cfg.infer_stride + 1
+        assert runs[10] == runs[113] == runs[len(frames)]
+        assert len(runs[10]) >= 5
+        for det in runs[10]:
             probs = forward(model, standardize(rec.samples[:, det.time - w : det.time]))
             assert det.confidence == 1.0 - probs[0]
+
+    def test_first_detection_after_refractory_votes_over_the_held_run(self):
+        # The run keeps growing while the refractory interval holds emission,
+        # so the detection that ends the hold averages every window since the
+        # last emission (refractory / infer_stride of them), not only the
+        # last consecutive_required.
+        samples = np.zeros((2, 1000), dtype=np.float32)
+        samples[0] = np.linspace(0.0, 0.2, 1000)
+        rec = Recording(250.0, ["f", "g"], samples)
+
+        def last_sample_is_p_nontarget(window):
+            p0 = float(window[0, -1])
+            return np.array([p0, 1.0 - p0, 0.0])
+
+        cfg = OnlineConfig(trigger_threshold=0.5, consecutive_required=1, refractory=250)
+        engine = OnlineEngine(last_sample_is_p_nontarget, cfg, window_len=250, n_channels=2)
+        engine.push(rec.samples.T)
+        first, second = engine.detections[:2]
+        assert (first.time, second.time) == (250, 500)
+        held = range(275, 501, cfg.infer_stride)
+        assert len(held) == cfg.refractory // cfg.infer_stride
+        p_target = [1.0 - float(rec.samples[0, end - 1]) for end in held]
+        assert second.confidence == pytest.approx(np.mean(p_target), rel=1e-12)
+        assert second.confidence != pytest.approx(p_target[-1], rel=1e-3)
 
     def test_online_infer_helper(self):
         rec = flag_recording(2500, [(1000, 1250)])
