@@ -8,9 +8,12 @@ blocks with ELU activations, then a dense head with two logits.
 
 The temporal and spatial convolutions compose linearly, so they fuse into
 one kernel and every conv layer, front end and blocks alike, runs one body:
-convolution plus bias, ELU, max-pool, dropout. Dropout masks are drawn from
-the rng passed in, in forward order: stage A's front end, each block and
-dense hidden layer, then stage B's in the same order.
+convolution plus bias, max-pool, ELU, dropout. ELU is monotonic, so pooling
+first gives the same values as pooling its output, on a third of the samples.
+Dropout masks are drawn from the rng passed in, in forward order: stage A's
+front end, each block and dense hidden layer, then stage B's in the same
+order. Only a training step keeps a backward cache; eval pools without
+argmax indices.
 
 All arithmetic is float64 numpy with hand-derived reverse-mode gradients;
 `backward` is checked against central finite differences in the tests.
@@ -216,11 +219,17 @@ def stack_epochs(epochs: list[Epoch]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _elu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+    # expm1(z) >= z, so the max is expm1(z) for z <= 0 and z for z > 0.
+    # With z first, z = -0.0 keeps the zero sign np.minimum gave it.
+    out = np.minimum(z, 0.0)
+    np.expm1(out, out=out)
+    return np.maximum(z, out, out=out)
 
 
 def _elu_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
+    # exp(0) is exactly 1, the slope for z > 0.
+    out = np.minimum(z, 0.0)
+    return np.exp(out, out=out)
 
 
 def _maxpool(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -230,6 +239,16 @@ def _maxpool(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
     idx = trimmed.argmax(axis=-1)
     out = np.take_along_axis(trimmed, idx[..., None], axis=-1)[..., 0]
     return out, idx, a.shape[-1]
+
+
+def _maxpool_values(a: np.ndarray, p: int) -> np.ndarray:
+    """`_maxpool`'s values alone: a running maximum over the p strided
+    views, with no argmax indices."""
+    n = a.shape[-1] // p
+    out = a[..., : n * p : p].copy()
+    for j in range(1, p):
+        np.maximum(out, a[..., j : n * p : p], out=out)
+    return out
 
 
 def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, p: int, orig_len: int) -> np.ndarray:
@@ -319,20 +338,32 @@ def _stage_forward(
     cfg: NetConfig,
     x: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Logits (B, 2) plus the cache needed for the backward pass; an rng
-    switches dropout on."""
+    keep_cache: bool = False,
+) -> tuple[np.ndarray, dict | None]:
+    """Logits (B, 2) and the backward cache; an rng switches dropout on.
+
+    Each conv layer pools z, then applies ELU to the pooled third. The cache
+    (each layer's input, pooled z, argmax indices and dropout mask) is built
+    only with keep_cache; without it, as in eval, each pool is a running
+    maximum with no indices and the cache is None."""
     p = stage.params
     convs = _conv_layers(stage, cfg)
-    layers = []
+    layers = [] if keep_cache else None
     h = x
     for w, b in convs:
         z = _lag_conv(w, h)
         z += b[None, :, None]
-        pooled, idx, orig = _maxpool(_elu(z), cfg.pool_len)
-        mask = _dropout_mask(cfg, pooled.shape, rng)
-        layers.append((h, z, idx, orig, mask))
-        h = pooled if mask is None else pooled * mask
+        if layers is None:
+            zp = _maxpool_values(z, cfg.pool_len)
+        else:
+            zp, idx, orig = _maxpool(z, cfg.pool_len)
+        a = _elu(zp)
+        mask = _dropout_mask(cfg, a.shape, rng)
+        if mask is not None:
+            a *= mask
+        if layers is not None:
+            layers.append((h, zp, idx, orig, mask))
+        h = a
 
     flat = h.reshape(h.shape[0], -1)
     d1 = _rowwise_matmul(flat, p["w_dense"]) + p["b_dense"]
@@ -341,6 +372,8 @@ def _stage_forward(
     if mask is not None:
         hid = hid * mask
     logits = _rowwise_matmul(hid, p["w_out"]) + p["b_out"]
+    if layers is None:
+        return logits, None
     cache = {"convs": convs, "layers": layers, "flat": flat, "d1": d1,
              "hid": hid, "dense_mask": mask}
     return logits, cache
@@ -366,14 +399,14 @@ def _stage_backward(
     grads["w_dense"] = cache["flat"].T @ dd1
     grads["b_dense"] = dd1.sum(axis=0)
     layers = cache["layers"]
-    # The last layer's pool indices have its pooled output's shape.
-    dh = (dd1 @ p["w_dense"].T).reshape(layers[-1][2].shape)
+    # The last layer's pooled z has its output's shape.
+    dh = (dd1 @ p["w_dense"].T).reshape(layers[-1][1].shape)
 
     for i in reversed(range(len(layers))):
-        h_in, z, idx, orig, mask = layers[i]
+        h_in, zp, idx, orig, mask = layers[i]
         if mask is not None:
             dh = dh * mask
-        dz = _maxpool_backward(dh, idx, cfg.pool_len, orig) * _elu_grad(z)
+        dz = _maxpool_backward(dh * _elu_grad(zp), idx, cfg.pool_len, orig)
         dw = _lag_conv_weight_grad(dz, h_in)
         db = dz.sum(axis=(0, 2))
         if i > 0:
@@ -392,17 +425,19 @@ def _forward_batch(
     model: HierarchicalModel,
     x: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[dict, dict]]:
+    keep_cache: bool = False,
+) -> tuple[np.ndarray, np.ndarray, tuple[dict | None, dict | None]]:
     """Both stages' softmax outputs for standardized input (B, C, T), and
-    their backward caches."""
+    their backward caches: built only with keep_cache, which only
+    `_backward_batch` asks for; otherwise (None, None)."""
     cfg = model.config
     if x.ndim != 3 or x.shape[1:] != (cfg.n_channels, cfg.window_len):
         raise ValueError(
             f"input shape {x.shape} does not match (batch, {cfg.n_channels}, "
             f"{cfg.window_len})"
         )
-    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng)
-    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng)
+    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng, keep_cache)
+    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, keep_cache)
     return _softmax2(la), _softmax2(lb), (cache_a, cache_b)
 
 
@@ -444,7 +479,7 @@ def _backward_batch(
     Returns ({"stage_a": {...}, "stage_b": {...}}, mean_loss, d_input);
     d_input is None unless requested.
     """
-    pa, pb, (cache_a, cache_b) = _forward_batch(model, x, rng)
+    pa, pb, (cache_a, cache_b) = _forward_batch(model, x, rng, keep_cache=True)
     losses = _cross_entropy(compose_probs(pa, pb), labels)
     b = x.shape[0]
     is_target = labels > 0

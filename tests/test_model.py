@@ -38,6 +38,7 @@ from eegtd.model import (
     _forward_batch,
     _maxpool,
     _maxpool_backward,
+    _maxpool_values,
     _softmax2,
 )
 
@@ -381,6 +382,61 @@ class TestDefaultConfigReference:
         for stage_name, ref in (("stage_a", ref_a), ("stage_b", ref_b)):
             for name, value in ref.items():
                 assert_close(grads[stage_name][name], value, f"{stage_name}.{name}")
+
+
+class TestKernels:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("length", [9, 10, 11])
+    def test_maxpool_values_equal_maxpool(self, p, length):
+        # Lengths 10 and 11 leave a remainder to drop at p=3.
+        rng = np.random.default_rng(length)
+        a = rng.integers(-3, 4, size=(4, 5, length)).astype(np.float64)  # many ties
+        a[0, 0, :] = 2.0
+        values, _, _ = _maxpool(a, p)
+        assert np.array_equal(_maxpool_values(a, p), values)
+
+    def test_maxpool_values_ignore_the_remainder(self):
+        a = np.array([[1.0, 3.0, 2.0, 0.0, -1.0, -2.0, 9.0]])
+        assert np.array_equal(_maxpool_values(a, 3), [[3.0, 0.0]])
+
+    def test_elu_equals_where_form(self):
+        z = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, -40.0, -800.0,
+                      np.inf, -np.inf])
+        ref = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+        assert np.array_equal(_elu(z), ref)
+
+
+class TestEvalPath:
+    @pytest.mark.parametrize("b", [1, 104, 256])
+    def test_cache_free_forward_equals_cached_bit_for_bit(self, b):
+        # Weights 4x the init scale saturate many ELUs and make the output
+        # feel the last bits.
+        model = init_model(NetConfig(), seed=6)
+        for stage in (model.stage_a, model.stage_b):
+            for value in stage.params.values():
+                value *= 4.0
+        x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
+        pa, pb, caches = _forward_batch(model, x)
+        assert caches == (None, None)
+        ca, cb, _ = _forward_batch(model, x, keep_cache=True)
+        assert np.array_equal(pa, ca)
+        assert np.array_equal(pb, cb)
+
+    def test_predict_batch_builds_no_cache(self, monkeypatch):
+        calls = []
+
+        def counting(a, p):
+            calls.append(a.shape)
+            return _maxpool(a, p)
+
+        monkeypatch.setattr("eegtd.model._maxpool", counting)
+        model = init_model(TINY, seed=3)
+        x = standardize(np.random.default_rng(0).standard_normal((5, 3, 20)))
+        predict_batch(model, x)
+        forward(model, x[0])
+        assert calls == []
+        _backward_batch(model, x, np.array([0, 1, 2, 1, 0]))
+        assert calls  # the training path does pool with indices
 
 
 def make_toy_epochs(n_per_class=40, seed=0):
