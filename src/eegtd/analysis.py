@@ -3,6 +3,7 @@ occlusion and input gradients, with plot-ready CSV outputs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -71,6 +72,11 @@ def grand_average_erp(
     onsets whose analysis span avoids every target span.
     """
     check_same_length(rec, schedule)
+    if not (math.isfinite(horizon_s) and math.isfinite(baseline_s) and baseline_s >= 0):
+        raise ValueError(
+            f"horizon ({horizon_s} s) and baseline ({baseline_s} s) must be "
+            "finite, and the baseline >= 0"
+        )
     idx = np.array([rec.channel_index(name) for name in channels])
     data = rec.samples[idx]
     n_horizon = int(round(horizon_s * rec.sampling_rate))
@@ -181,7 +187,7 @@ def write_erp_csv(result: ErpAverages, destination: TextIO) -> None:
         wave = result.waves[name]
         for ci, channel in enumerate(result.channels):
             for t, v in zip(result.times_s, wave[ci]):
-                destination.write(f"{name},{channel},{t!r},{v!r}\n")
+                destination.write(f"{name},{channel},{float(t)!r},{float(v)!r}\n")
 
 
 def write_saliency_csv(
@@ -192,4 +198,4 @@ def write_saliency_csv(
 ) -> None:
     destination.write("channel,occlusion_importance,gradient_saliency\n")
     for name, occ, grad in zip(channels, occlusion, gradient):
-        destination.write(f"{name},{occ!r},{grad!r}\n")
+        destination.write(f"{name},{float(occ)!r},{float(grad)!r}\n")

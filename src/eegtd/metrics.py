@@ -134,6 +134,8 @@ def match_detections(
     positives (row 0); unmatched events are misses (column 0). Returns the
     event-level confusion matrix and (event_index, detection_index) pairs.
     """
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     times = [d.time for d in detections]
     if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
         raise ValueError("detections must be sorted by time")

@@ -1,6 +1,7 @@
 """Asynchronous real-time layer: the ESP wire protocol for streamed EEG
 with event markers, a wall-clock-paced replay server, a validating client,
-and the debounced online inference engine.
+and online inference: `OnlineEngine` scores the sliding windows of one
+`HierarchicalModel`, and its `Debouncer` turns the scores into detections.
 
 The client runs in one thread. It reads the socket RECV_BYTES at a time
 and, just before each read and at Stop, hands its sink every Data block
@@ -301,6 +302,7 @@ class ReplayServer:
         speed: float = 1.0,
     ):
         check_same_length(recording, schedule)
+        _check_port(port)
         if not speed > 0:
             raise ValueError("speed must be positive (use inf to disable pacing)")
         self.chunk_frames = int(chunk_ms * recording.sampling_rate / 1000.0)
@@ -390,13 +392,20 @@ class StreamSummary:
     wall_seconds: float
 
 
+def _check_port(port: int) -> int:
+    """`port`, or ValueError if it lies outside 0 to 65535."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must lie in 0 to 65535, got {port}")
+    return port
+
+
 def _parse_endpoint(endpoint: str | tuple[str, int]) -> tuple[str, int]:
     if isinstance(endpoint, tuple):
         return endpoint
     host, _, port = endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
-    return host, int(port)
+    return host, _check_port(int(port))
 
 
 def client_receive(
@@ -517,56 +526,69 @@ class OnlineConfig:
             raise ValueError("trigger_threshold must lie in (0, 1)")
 
 
-class OnlineEngine:
-    """Debounced sliding-window detector over an incoming frame stream.
+class Debouncer:
+    """The debounce policy that turns scored windows, fed in stream order,
+    into detections.
 
-    Every `infer_stride` new frames (once a full window is buffered) the
-    latest window is classified; a `push` scores every window its frames
-    complete in one batch and debounces them in stream order. Windows with
-    target probability 1 - p(non-target) at or above the trigger threshold
-    extend the current run; any other window clears it. Once the run holds
-    `consecutive_required` windows and the refractory interval from the
-    last emission has fully elapsed, a Detection is emitted at the current
-    stream position with the class whose summed probability over the run
-    is larger (ties favor the true-target class) and the run resets. The
-    run keeps growing while the refractory interval holds emission, so the
-    first detection after a refractory averages its confidence and votes
-    its class over every window of the run, up to refractory / infer_stride
-    windows, not only the last `consecutive_required`.
-
-    `model` may be a HierarchicalModel (windows are standardized and scored
-    by `predict_batch`, whose rows do not depend on the batch, so neither do
-    the detections on how the stream is split into pushes) or any callable
-    mapping a raw (n_channels, window_len) array to a 3-probability vector,
-    called once per window.
+    Windows with target probability 1 - p(non-target) at or above the
+    trigger threshold extend the current run; any other window clears it.
+    Once the run holds `consecutive_required` windows and the refractory
+    interval from the last emission has fully elapsed, a Detection is
+    emitted at the window's stream position with the class whose summed
+    probability over the run is larger (ties favor the true-target class)
+    and the run resets. The run keeps growing while the refractory interval
+    holds emission, so the first detection after a refractory averages its
+    confidence and votes its class over every window of the run, up to
+    refractory / infer_stride windows, not only the last
+    `consecutive_required`.
     """
 
-    def __init__(
-        self,
-        model,
-        cfg: OnlineConfig,
-        window_len: int | None = None,
-        n_channels: int | None = None,
-    ):
-        if isinstance(model, HierarchicalModel):
-            window_len = model.config.window_len
-            n_channels = model.config.n_channels
-            self._predict = lambda windows: predict_batch(model, standardize(windows))[1]
-        elif callable(model):
-            if window_len is None or n_channels is None:
-                raise ValueError(
-                    "callable predictors need explicit window_len and n_channels"
-                )
-            self._predict = lambda windows: np.stack([model(w) for w in windows])
-        else:
-            raise TypeError(f"unsupported model {model!r}")
+    def __init__(self, cfg: OnlineConfig):
         self.cfg = cfg
-        self.window_len = window_len
-        self.n_channels = n_channels
-        self.ring = RingBuffer(n_channels, 4 * window_len)
-        self._next_eval = window_len
         self._run: list[tuple[float, float, float]] = []
         self._refractory_until = 0
+
+    def step(self, now: int, probs: np.ndarray) -> Detection | None:
+        """Debounce the 3-probability row of the window ending at `now`."""
+        p_target = 1.0 - float(probs[0])
+        if p_target >= self.cfg.trigger_threshold:
+            self._run.append((float(probs[1]), float(probs[2]), p_target))
+        else:
+            self._run.clear()
+        if (
+            len(self._run) >= self.cfg.consecutive_required
+            and now >= self._refractory_until
+        ):
+            sums = np.sum([(p1, p2) for p1, p2, _ in self._run], axis=0)
+            class_id = (
+                ClassId.TRUE_TARGET if sums[0] >= sums[1] else ClassId.ERROR_TARGET
+            )
+            confidence = float(np.mean([pt for _, _, pt in self._run]))
+            self._run.clear()
+            self._refractory_until = now + self.cfg.refractory
+            return Detection(now, class_id, min(confidence, 1.0))
+        return None
+
+
+class OnlineEngine:
+    """Sliding-window detector over an incoming frame stream.
+
+    Every `infer_stride` new frames (once a full window is buffered) the
+    latest window is scored. A `push` standardizes every window its frames
+    complete and scores them in one `predict_batch`, whose rows do not
+    depend on the batch, so neither do the detections on how the stream is
+    split into pushes. The rows then go through the engine's `Debouncer` in
+    stream order.
+    """
+
+    def __init__(self, model: HierarchicalModel, cfg: OnlineConfig):
+        self.model = model
+        self.cfg = cfg
+        self.window_len = model.config.window_len
+        self.n_channels = model.config.n_channels
+        self.ring = RingBuffer(self.n_channels, 4 * self.window_len)
+        self._next_eval = self.window_len
+        self._debouncer = Debouncer(cfg)
         self.detections: list[Detection] = []
 
     def push(self, frames: np.ndarray) -> list[Detection]:
@@ -598,41 +620,20 @@ class OnlineEngine:
         windows = np.ascontiguousarray(
             sliding_window_view(x, w, axis=1)[:, first::stride].transpose(1, 0, 2)
         )
+        probs = predict_batch(self.model, standardize(windows))[1]
         emitted = []
-        for now, probs in zip(ends, self._predict(windows)):
-            det = self._evaluate(now, probs)
+        for now, row in zip(ends, probs):
+            det = self._debouncer.step(now, row)
             if det is not None:
                 emitted.append(det)
         self.detections.extend(emitted)
         return emitted
 
-    def _evaluate(self, now: int, probs: np.ndarray) -> Detection | None:
-        p_target = 1.0 - float(probs[0])
-        if p_target >= self.cfg.trigger_threshold:
-            self._run.append((float(probs[1]), float(probs[2]), p_target))
-        else:
-            self._run.clear()
-        if (
-            len(self._run) >= self.cfg.consecutive_required
-            and now >= self._refractory_until
-        ):
-            sums = np.sum([(p1, p2) for p1, p2, _ in self._run], axis=0)
-            class_id = (
-                ClassId.TRUE_TARGET if sums[0] >= sums[1] else ClassId.ERROR_TARGET
-            )
-            confidence = float(np.mean([pt for _, _, pt in self._run]))
-            self._run.clear()
-            self._refractory_until = now + self.cfg.refractory
-            return Detection(now, class_id, min(confidence, 1.0))
-        return None
-
 
 def stream_online_inference(
     endpoint: str | tuple[str, int],
-    model,
+    model: HierarchicalModel,
     cfg: OnlineConfig,
-    window_len: int | None = None,
-    n_channels: int | None = None,
     timeout_s: float = 60.0,
 ) -> tuple[list[Detection], StreamSummary]:
     """Receive a session and run online inference on it, in the caller's
@@ -646,7 +647,7 @@ def stream_online_inference(
     dropped. An engine error propagates to the caller, and `client_receive`
     closes the connection on the way out.
     """
-    engine = OnlineEngine(model, cfg, window_len, n_channels)
+    engine = OnlineEngine(model, cfg)
 
     def sink(burst: list[DataMessage]) -> None:
         frames = np.concatenate([msg.frames for msg in burst])

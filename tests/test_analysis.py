@@ -139,6 +139,32 @@ class TestGrandAverage:
         # classes present: TrueTarget + NonTarget pseudo-baseline
         assert len(lines) == 1 + len(res.waves) * 2 * 250
 
+    def test_csv_cells_parse_as_floats(self):
+        sched = EventSchedule(5000, 250.0, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
+        rec = render_eeg(sched, SynthConfig(background_sigma=1.0, seed=1))
+        erp, saliency = io.StringIO(), io.StringIO()
+        write_erp_csv(grand_average_erp(rec, sched, ["Cz"], horizon_s=0.2), erp)
+        write_saliency_csv(["a", "b"], np.array([0.5, -0.25]), np.array([1e-3, 2.0]), saliency)
+        # class,channel,... and channel,... lead with that many label cells
+        for buf, n_labels in ((erp, 2), (saliency, 1)):
+            rows = buf.getvalue().splitlines()[1:]
+            assert rows
+            for row in rows:
+                for cell in row.split(",")[n_labels:]:
+                    float(cell)
+
+    @pytest.mark.parametrize("horizon_s, baseline_s", [
+        (float("inf"), 0.2),
+        (float("nan"), 0.2),
+        (1.0, float("inf")),
+        (1.0, -0.5),
+    ])
+    def test_bad_horizon_or_baseline_rejected(self, horizon_s, baseline_s):
+        sched = EventSchedule(5000, 250.0, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
+        rec = render_eeg(sched, SynthConfig(background_sigma=1.0, seed=1))
+        with pytest.raises(ValueError, match="horizon|baseline"):
+            grand_average_erp(rec, sched, ["Cz"], horizon_s=horizon_s, baseline_s=baseline_s)
+
 
 def informative_channel_epochs(channel=2, n_per_class=30, seed=0):
     """Toy set where only one channel carries class information."""

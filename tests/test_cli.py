@@ -17,7 +17,10 @@ from eegtd.cli import (
     _apply_config_defaults, _dataset_config, _metric_config, _train_config,
     build_parser, main,
 )
-from eegtd.core import ClassId, Event, EventSchedule, load_recording, load_schedule, save_schedule
+from eegtd.core import (
+    ClassId, Event, EventSchedule, Recording, load_recording, load_schedule,
+    save_recording, save_schedule,
+)
 from eegtd.dataset import DatasetConfig
 from eegtd.metrics import Detection, MetricConfig, write_detections_csv
 from eegtd.model import NetConfig, TrainConfig, init_model, save_model
@@ -364,6 +367,31 @@ class TestInferOnlineErrors:
         assert code == 1
         assert "error: bad magic" in err
         assert "Traceback" not in err
+
+
+class TestPortRange:
+    def assert_one_line_error(self, code, capsys, port):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: port must lie in 0 to 65535, got {port}\n"
+
+    def test_serve_port_out_of_range(self, tmp_path, capsys):
+        save_recording(Recording(250.0, ["Cz"], np.zeros((1, 250), dtype=np.float32)),
+                       tmp_path / "r.eegr")
+        save_schedule(EventSchedule(250, 250.0, [], []), tmp_path / "s.csv")
+        code = main(["serve", "--recording", str(tmp_path / "r.eegr"),
+                     "--schedule", str(tmp_path / "s.csv"), "--port", "70000"])
+        self.assert_one_line_error(code, capsys, 70000)
+
+    def test_connect_port_out_of_range(self, tmp_path, capsys):
+        model_path = tmp_path / "m.hmdl"
+        net = NetConfig(n_channels=2, window_len=20, temporal_filters=2,
+                        deep_filters=(2,), kernel_len=3, pool_len=2, dense_hidden=4)
+        with open(model_path, "wb") as fh:
+            save_model(init_model(net, seed=1), fh)
+        code = main(["infer-online", "--connect", "127.0.0.1:99999",
+                     "--model", str(model_path)])
+        self.assert_one_line_error(code, capsys, 99999)
 
 
 class TestServeInferOnline:

@@ -190,6 +190,12 @@ class TestMatchDetections:
         assert cm.counts[0, 1] == 1  # false positive
         assert cm.counts[1, 0] == 1  # missed event
 
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            match_detections(
+                [Detection(1000, ClassId.TRUE_TARGET, 0.9)], one_event_schedule(), tolerance=-1
+            )
+
     def test_boundary_inclusive(self):
         cm, pairs = match_detections(
             [Detection(1375, ClassId.TRUE_TARGET, 0.9)], one_event_schedule(), tolerance=375
