@@ -81,8 +81,9 @@ def grand_average_erp(
     data = rec.samples[idx]
     n_horizon = int(round(horizon_s * rec.sampling_rate))
     n_baseline = int(round(baseline_s * rec.sampling_rate))
-    if n_horizon < 1:
-        raise ValueError("horizon must cover at least one sample")
+    if not 1 <= n_horizon <= rec.n_samples - n_baseline:
+        raise ValueError(f"horizon must cover 1 to {rec.n_samples - n_baseline} samples, "
+                         "the recording less the baseline")
 
     onsets_by_class: dict[str, list[int]] = {}
     for ev in schedule.targets:

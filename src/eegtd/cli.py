@@ -365,16 +365,12 @@ def _selftest_protocol() -> bool:
         StopMessage(8),
     ]
     blob = b"".join(encode_message(m) for m in messages)
-    pos = [0]
-
-    def read(n):
-        chunk = blob[pos[0] : pos[0] + n]
-        pos[0] += len(chunk)
-        return chunk
-
-    reader = EspStreamReader(read)
-    back = [reader.next_message() for _ in range(4)]
-    return back == messages and reader.next_message() is None
+    whole, bytewise = EspStreamReader(), EspStreamReader()
+    fed = [msg for i in range(len(blob)) for msg in bytewise.feed(blob[i : i + 1])]
+    return (
+        whole.feed(blob) == messages == fed
+        and whole.feed(b"") == [] == bytewise.feed(b"")
+    )
 
 
 def run_selftest(args) -> int:

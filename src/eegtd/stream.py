@@ -3,10 +3,10 @@ with event markers, a wall-clock-paced replay server, a validating client,
 and online inference: `OnlineEngine` scores the sliding windows of one
 `HierarchicalModel`, and its `Debouncer` turns the scores into detections.
 
-The client runs in one thread. It reads the socket RECV_BYTES at a time
-and, just before each read and at Stop, hands its sink every Data block
-decoded since the last hand-over as one burst. `stream_online_inference`
-pushes each burst into the engine, which scores all the windows the burst
+The client runs in one thread. It feeds each socket read (up to
+RECV_BYTES) to a byte-fed `EspStreamReader` and hands its sink the Data
+blocks that read completes as one burst. `stream_online_inference` pushes
+each burst into the engine, which scores all the windows the burst
 completes in one batched forward pass. The socket buffer holds the
 backlog; once it is full, the server's `sendall` blocks, so no frame is
 dropped.
@@ -169,6 +169,8 @@ def _decode_data(payload: bytes, n_channels: int) -> DataMessage:
         .reshape(n_frames, n_channels)
         .copy()
     )
+    if not np.isfinite(frames).all():
+        raise ProtocolError(f"non-finite sample in block {block_index}")
     pos += nbytes
     (n_markers,) = struct.unpack_from("<I", payload, pos)
     pos += 4
@@ -191,46 +193,65 @@ def _decode_stop(payload: bytes) -> StopMessage:
 
 
 class EspStreamReader:
-    """Stateful decoder over a read(n) callable enforcing message order and
-    block continuity."""
+    """Byte-fed ESP decoder enforcing message order, block continuity and
+    the payload limits: `feed` takes the bytes as they arrive and returns
+    the messages they complete."""
 
-    def __init__(self, read: Callable[[int], bytes]):
-        self._read = read
+    def __init__(self) -> None:
+        self._buf = bytearray()
         self._started = False
         self._stopped = False
         self._next_block = 0
-        self._n_channels: int | None = None
+        self._n_channels = 0
         self.frames_delivered = 0
 
-    def _read_exact(self, n: int, what: str) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining > 0:
-            chunk = self._read(remaining)
-            if not chunk:
-                raise ConnectionLost(
-                    f"connection lost reading {what}", self.frames_delivered
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def feed(self, data: bytes) -> list[EspMessage]:
+        """The messages that the buffered bytes and `data` complete, in order.
 
-    def next_message(self) -> EspMessage | None:
-        """The next validated message, or None at a clean end of stream."""
+        `feed(b"")` means the peer closed: it raises ConnectionLost after
+        Start or with bytes still buffered, and returns [] before any byte.
+        After Stop it returns [] and ignores any further bytes.
+        """
         if self._stopped:
-            return None
-        first = self._read(4)
-        if not first and not self._started:
-            return None
-        if not first:
-            raise ConnectionLost("connection lost before Stop", self.frames_delivered)
-        if len(first) < 4:
-            first += self._read_exact(4 - len(first), "magic")
-        if first != ESP_MAGIC:
-            raise ProtocolError(f"bad magic {first!r}")
-        mtype, length = struct.unpack("<IQ", self._read_exact(12, "frame header"))
-        # Order, type and length are checked before the payload is read, so
-        # a malformed header never makes the reader ask for a huge buffer.
+            return []
+        if not data and (self._started or self._buf):
+            raise ConnectionLost(
+                f"connection lost before Stop, {len(self._buf)} bytes pending",
+                self.frames_delivered,
+            )
+        self._buf += data
+        messages: list[EspMessage] = []
+        while not self._stopped and len(self._buf) >= 16:
+            mtype, length = self._check_header()
+            if len(self._buf) < 16 + length:
+                break
+            payload = self._buf[16 : 16 + length]
+            del self._buf[: 16 + length]
+            if mtype == MSG_START:
+                msg = _decode_start(payload)
+                self._started = True
+                self._n_channels = msg.n_channels
+            elif mtype == MSG_DATA:
+                msg = _decode_data(payload, self._n_channels)
+                if msg.block_index != self._next_block:
+                    raise ProtocolError(
+                        f"block index {msg.block_index}, expected {self._next_block}"
+                    )
+                self._next_block += 1
+                self.frames_delivered += msg.n_frames
+            else:
+                msg = _decode_stop(payload)
+                self._stopped = True
+            messages.append(msg)
+        return messages
+
+    def _check_header(self) -> tuple[int, int]:
+        """Type and payload length of the buffered header, once its magic,
+        the message order and the payload limit are checked: a malformed
+        header is rejected before any of its payload is waited for."""
+        magic, mtype, length = struct.unpack_from("<4sIQ", self._buf)
+        if magic != ESP_MAGIC:
+            raise ProtocolError(f"bad magic {magic!r}")
         if mtype == MSG_START:
             if self._started:
                 raise ProtocolError("duplicate Start message")
@@ -250,23 +271,7 @@ class EspStreamReader:
             raise ProtocolError(
                 f"message type {mtype} declares {length} payload bytes, limit {limit}"
             )
-        payload = self._read_exact(length, f"payload of type {mtype}") if length else b""
-        if mtype == MSG_START:
-            msg = _decode_start(payload)
-            self._started = True
-            self._n_channels = msg.n_channels
-            return msg
-        if mtype == MSG_DATA:
-            msg = _decode_data(payload, self._n_channels)
-            if msg.block_index != self._next_block:
-                raise ProtocolError(
-                    f"block index {msg.block_index}, expected {self._next_block}"
-                )
-            self._next_block += 1
-            self.frames_delivered += msg.n_frames
-            return msg
-        self._stopped = True
-        return _decode_stop(payload)
+        return mtype, length
 
 
 def _schedule_markers(schedule: EventSchedule) -> list[tuple[int, int]]:
@@ -369,7 +374,7 @@ class ReplayServer:
                 frames_sent += hi - lo
             conn.sendall(encode_message(StopMessage(rec.n_samples)))
             completed = True
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
+        except OSError as exc:
             log.warning("client disconnected mid-session: %s", exc)
             completed = False
         finally:
@@ -415,55 +420,33 @@ def client_receive(
 ) -> StreamSummary:
     """Receive one full session, validating order and continuity.
 
-    Data blocks reach `sink` in order, in bursts: each call gets the list of
-    blocks decoded since the last one. The list is handed over just before
-    every `recv`, which may block, and at Stop, so no decoded block waits on
-    the network. A reset or stalled connection raises ConnectionLost; an
-    error raised by `sink` propagates unchanged.
+    Each `recv` of up to RECV_BYTES is fed to an `EspStreamReader`. A burst
+    is what one `recv` completes: its Data blocks reach `sink` as one list,
+    in order, before the next `recv` may block. A reset, stalled or closed
+    connection raises ConnectionLost; an error raised by `sink` propagates
+    unchanged.
     """
     host, port = _parse_endpoint(endpoint)
     t_start = time.monotonic()
-    pending: list[DataMessage] = []
-
-    def flush() -> None:
-        if pending:
-            burst = pending.copy()
-            pending.clear()
-            sink(burst)
-
+    reader = EspStreamReader()
+    n_blocks = 0
+    messages: list[EspMessage] = []
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
-        received = memoryview(b"")
-
-        def read(n: int) -> bytes:
-            nonlocal received
-            if not received:
-                flush()
-                try:
-                    received = memoryview(sock.recv(RECV_BYTES))
-                except OSError as exc:  # a reset, or a peer silent past timeout_s
-                    raise ConnectionLost(
-                        f"connection lost: {exc}", reader.frames_delivered
-                    ) from exc
-            chunk, received = received[:n], received[n:]
-            return bytes(chunk)
-
-        reader = EspStreamReader(read)
-        if not isinstance(reader.next_message(), StartMessage):
-            raise ProtocolError("stream did not begin with Start")
-        n_blocks = 0
-        stop: StopMessage | None = None
-        while True:
-            msg = reader.next_message()
-            if msg is None:
-                break
-            if isinstance(msg, DataMessage):
-                n_blocks += 1
-                pending.append(msg)
-            elif isinstance(msg, StopMessage):
-                stop = msg
-        flush()
-    if stop is None:
-        raise ConnectionLost("stream ended without Stop", reader.frames_delivered)
+        while not (messages and isinstance(messages[-1], StopMessage)):
+            try:
+                data = sock.recv(RECV_BYTES)
+            except OSError as exc:  # a reset, or a peer silent past timeout_s
+                raise ConnectionLost(
+                    f"connection lost: {exc}", reader.frames_delivered
+                ) from exc
+            messages = reader.feed(data)
+            if not data:  # the peer closed before sending a byte
+                raise ProtocolError("stream did not begin with Start")
+            burst = [msg for msg in messages if isinstance(msg, DataMessage)]
+            if burst:
+                n_blocks += len(burst)
+                sink(burst)
+    stop = messages[-1]
     if stop.total_samples != reader.frames_delivered:
         raise ProtocolError(
             f"Stop declares {stop.total_samples} samples, received "
@@ -639,13 +622,13 @@ def stream_online_inference(
     """Receive a session and run online inference on it, in the caller's
     thread; returns the detections in time order and the stream summary.
 
-    Each burst of Data blocks `client_receive` hands over (every block
-    decoded before it next waits on the socket) is pushed into the engine
-    as one run of frames, so the windows it completes are scored in one
-    batch. While the engine works, later blocks wait in the socket buffer;
-    once that is full, the server's `sendall` blocks, so no frame is
-    dropped. An engine error propagates to the caller, and `client_receive`
-    closes the connection on the way out.
+    Each burst of Data blocks `client_receive` hands over (the blocks one
+    `recv` completes) is pushed into the engine as one run of frames, so
+    the windows it completes are scored in one batch. While the engine
+    works, later blocks wait in the socket buffer; once that is full, the
+    server's `sendall` blocks, so no frame is dropped. An engine error
+    propagates to the caller, and `client_receive` closes the connection on
+    the way out.
     """
     engine = OnlineEngine(model, cfg)
 

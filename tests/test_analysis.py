@@ -153,6 +153,12 @@ class TestGrandAverage:
                 for cell in row.split(",")[n_labels:]:
                     float(cell)
 
+    def test_horizon_longer_than_recording_rejected(self):
+        sched = EventSchedule(1000, 250.0, [Event(300, ClassId.TRUE_TARGET, 250)], [])
+        rec = render_eeg(sched, SynthConfig(background_sigma=1.0, seed=1))
+        with pytest.raises(ValueError, match="horizon must cover 1 to 950 samples"):
+            grand_average_erp(rec, sched, ["Cz"], horizon_s=10.0, baseline_s=0.2)
+
     @pytest.mark.parametrize("horizon_s, baseline_s", [
         (float("inf"), 0.2),
         (float("nan"), 0.2),

@@ -341,6 +341,17 @@ class TestTrainAndDownstream:
         assert code == 0
         assert out.read_text().startswith("class,channel,time_s,value_uv")
 
+    def test_analyze_erp_horizon_past_recording_is_one_line(self, small_session, capsys):
+        tmp, prefix, _ = small_session
+        code = main(["analyze-erp", "--recording", f"{prefix}.eegr",
+                     "--schedule", f"{prefix}.schedule.csv",
+                     "--out", str(tmp / "erp-long.csv"), "--horizon-s", "1e7"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1
+        assert "error: horizon must cover" in err
+        assert "Traceback" not in err
+
 
 class TestInferOnlineErrors:
     def test_protocol_error_is_one_line(self, tmp_path, capsys):

@@ -36,64 +36,58 @@ from eegtd.stream import (
 )
 
 
-def reader_over(data: bytes, ceiling: int | None = None) -> EspStreamReader:
-    """A reader over `data`. With a ceiling, read(n) fails if n exceeds both
-    it and the whole stream, so an oversized length is caught unallocated."""
-    view = memoryview(data)
-    pos = [0]
-
-    def read(n):
-        if ceiling is not None:
-            assert n <= max(ceiling, len(data)), f"reader asked for {n} bytes"
-        chunk = view[pos[0] : pos[0] + n]
-        pos[0] += len(chunk)
-        return bytes(chunk)
-
-    return EspStreamReader(read)
-
-
 def make_recording(n_samples=1000, n_channels=3, seed=0) -> Recording:
     rng = np.random.default_rng(seed)
     names = [f"ch{i}" for i in range(n_channels)]
     return Recording(250.0, names, rng.standard_normal((n_channels, n_samples)))
 
 
+def decode(data: bytes) -> list:
+    """The messages one reader returns for `data` fed whole."""
+    return EspStreamReader().feed(data)
+
+
 class TestCodec:
+    START = StartMessage(250.0, 3, ("a", "b", "c"))
+
     def test_start_round_trip(self):
         msg = StartMessage(250.0, 2, ("Cz", "Oz"))
-        reader = reader_over(encode_message(msg))
-        assert reader.next_message() == msg
+        assert decode(encode_message(msg)) == [msg]
 
     def test_data_round_trip(self):
-        start = StartMessage(250.0, 3, ("a", "b", "c"))
         frames = np.arange(12, dtype=np.float32).reshape(4, 3)
         msg = DataMessage(0, frames, [(1, 1), (3, 100)])
-        reader = reader_over(encode_message(start) + encode_message(msg))
-        reader.next_message()
-        back = reader.next_message()
-        assert back == msg
+        assert decode(encode_message(self.START) + encode_message(msg)) == [self.START, msg]
 
     def test_stop_round_trip(self):
         start = StartMessage(250.0, 1, ("a",))
         blob = encode_message(start) + encode_message(StopMessage(12345))
-        reader = reader_over(blob)
-        reader.next_message()
-        assert reader.next_message() == StopMessage(12345)
-        assert reader.next_message() is None
+        reader = EspStreamReader()
+        assert reader.feed(blob) == [start, StopMessage(12345)]
+        # After Stop, a close and any further bytes decode to nothing.
+        assert reader.feed(b"") == []
+        assert reader.feed(blob) == []
 
     def test_bad_magic(self):
-        reader = reader_over(b"XSP1" + b"\x00" * 20)
         with pytest.raises(ProtocolError, match="magic"):
-            reader.next_message()
+            decode(b"XSP1" + b"\x00" * 20)
 
     def test_truncated_data(self):
-        start = StartMessage(250.0, 3, ("a", "b", "c"))
         frames = np.zeros((4, 3), dtype=np.float32)
-        blob = encode_message(start) + encode_message(DataMessage(0, frames))[:-6]
-        reader = reader_over(blob)
-        reader.next_message()
+        blob = encode_message(self.START) + encode_message(DataMessage(0, frames))[:-6]
+        reader = EspStreamReader()
+        assert reader.feed(blob) == [self.START]
         with pytest.raises(ConnectionLost):
-            reader.next_message()
+            reader.feed(b"")
+
+    def test_close_before_any_byte_is_clean(self):
+        assert EspStreamReader().feed(b"") == []
+
+    def test_close_mid_header_is_connection_lost(self):
+        reader = EspStreamReader()
+        assert reader.feed(b"ESP1") == []
+        with pytest.raises(ConnectionLost):
+            reader.feed(b"")
 
     def test_block_skip_rejected(self):
         start = StartMessage(250.0, 1, ("a",))
@@ -103,33 +97,35 @@ class TestCodec:
             + encode_message(DataMessage(0, frames))
             + encode_message(DataMessage(2, frames))
         )
-        reader = reader_over(blob)
-        reader.next_message()
-        reader.next_message()
         with pytest.raises(ProtocolError, match="block index"):
-            reader.next_message()
+            decode(blob)
 
     def test_data_before_start(self):
         frames = np.zeros((2, 1), dtype=np.float32)
-        reader = reader_over(encode_message(DataMessage(0, frames)))
         with pytest.raises(ProtocolError, match="before Start"):
-            reader.next_message()
+            decode(encode_message(DataMessage(0, frames)))
 
     def test_duplicate_start(self):
         start = StartMessage(250.0, 1, ("a",))
-        reader = reader_over(encode_message(start) * 2)
-        reader.next_message()
         with pytest.raises(ProtocolError, match="duplicate"):
-            reader.next_message()
+            decode(encode_message(start) * 2)
 
     def test_marker_outside_block(self):
         start = StartMessage(250.0, 1, ("a",))
         frames = np.zeros((2, 1), dtype=np.float32)
         blob = encode_message(start) + encode_message(DataMessage(0, frames, [(5, 1)]))
-        reader = reader_over(blob)
-        reader.next_message()
         with pytest.raises(ProtocolError, match="marker"):
-            reader.next_message()
+            decode(blob)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, value):
+        blocks = [np.zeros((4, 3), dtype=np.float32) for _ in range(2)]
+        blocks[1][2, 1] = value
+        blob = encode_message(self.START) + b"".join(
+            encode_message(DataMessage(k, frames)) for k, frames in enumerate(blocks)
+        )
+        with pytest.raises(ProtocolError, match="non-finite sample in block 1"):
+            decode(blob)
 
 
 class TestPayloadBounds:
@@ -144,25 +140,21 @@ class TestPayloadBounds:
         (3, 9, 8),
     ])
     def test_oversized_payload_rejected_before_read(self, mtype, length, ceiling):
-        prefix = b"" if mtype == 1 else self.START
-        blob = prefix + b"ESP1" + struct.pack("<IQ", mtype, length)
-        reader = reader_over(blob, ceiling)
-        if prefix:
-            reader.next_message()
-        with pytest.raises(ProtocolError, match="limit"):
-            reader.next_message()
+        # Only the header is fed, so the rejection comes before any payload.
+        reader = EspStreamReader()
+        if mtype != 1:
+            reader.feed(self.START)
+        with pytest.raises(ProtocolError, match=f"limit {ceiling}$"):
+            reader.feed(b"ESP1" + struct.pack("<IQ", mtype, length))
 
     def test_largest_block_accepted(self):
         frames = np.ones((MAX_BLOCK_FRAMES, 2), dtype=np.float32)
-        blob = self.START + encode_message(DataMessage(0, frames))
-        reader = reader_over(blob, self.DATA_BOUND)
-        reader.next_message()
-        assert reader.next_message().n_frames == MAX_BLOCK_FRAMES
+        _, block = decode(self.START + encode_message(DataMessage(0, frames)))
+        assert block.n_frames == MAX_BLOCK_FRAMES
 
     def test_zero_channel_start_rejected(self):
-        reader = reader_over(encode_message(StartMessage(250.0, 0, ())))
         with pytest.raises(ProtocolError, match="0 channels"):
-            reader.next_message()
+            decode(encode_message(StartMessage(250.0, 0, ())))
 
 
 class TestRingBuffer:
@@ -400,6 +392,23 @@ class TestTransportErrors:
             client_receive(endpoint, sink, timeout_s=10.0)
         thread.join(10.0)
         assert not isinstance(info.value, ProtocolError)
+
+
+class TestPeerClose:
+    def test_close_before_any_byte_is_protocol_error(self):
+        endpoint, thread = one_shot_peer(lambda conn: None)
+        with pytest.raises(ProtocolError, match="did not begin with Start"):
+            client_receive(endpoint, lambda burst: None, timeout_s=10.0)
+        thread.join(10.0)
+
+    def test_close_after_start_is_connection_lost(self):
+        start = encode_message(StartMessage(250.0, 2, ("Cz", "Oz")))
+        block = encode_message(DataMessage(0, np.zeros((10, 2), dtype=np.float32)))
+        endpoint, thread = one_shot_peer(lambda conn: conn.sendall(start + block))
+        with pytest.raises(ConnectionLost) as info:
+            client_receive(endpoint, lambda burst: None, timeout_s=10.0)
+        thread.join(10.0)
+        assert info.value.frames_received == 10
 
 
 class TestBursts:
@@ -678,8 +687,8 @@ def esp_streams(draw) -> bytes:
     for k in range(draw(st.integers(0, 3))):
         n_frames = draw(st.integers(1, 3))
         frames = draw(st.lists(
-            st.floats(width=32), min_size=n_frames * n_channels,
-            max_size=n_frames * n_channels,
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+            min_size=n_frames * n_channels, max_size=n_frames * n_channels,
         ))
         markers = draw(st.lists(
             st.tuples(st.integers(0, n_frames - 1), st.sampled_from([1, 2, 100, 101])),
@@ -692,11 +701,26 @@ def esp_streams(draw) -> bytes:
     return b"".join(parts)
 
 
-class TestFuzz:
-    # The largest payload any legal header may declare; the reader must never
-    # ask for more, whatever the bytes say.
-    CEILING = 16 + MAX_BLOCK_FRAMES * (4 * MAX_CHANNELS + 8)
+def pieces(data, blob: bytes) -> list[bytes]:
+    """`blob` split at drawn cut points into non-empty pieces (an empty
+    feed means the peer closed)."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=8)))
+    bounds = zip([0] + cuts, cuts + [len(blob)])
+    return [blob[lo:hi] for lo, hi in bounds if hi > lo]
 
+
+class TestSplitFeeds:
+    @settings(max_examples=200, deadline=None)
+    @given(esp_streams(), st.data())
+    def test_any_split_decodes_like_one_feed(self, blob, data):
+        whole = decode(blob)
+        assert isinstance(whole[0], StartMessage) and isinstance(whole[-1], StopMessage)
+        reader = EspStreamReader()
+        fed = [msg for piece in pieces(data, blob) + [b""] for msg in reader.feed(piece)]
+        assert fed == whole
+
+
+class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(esp_streams(), st.data())
     def test_mutated_streams_fail_only_with_protocol_error(self, blob, data):
@@ -714,9 +738,9 @@ class TestFuzz:
             lo = data.draw(st.integers(0, len(blob)))
             hi = data.draw(st.integers(lo, len(blob)))
             blob = blob[:cut] + blob[lo:hi] + blob[cut:]
-        reader = reader_over(blob, self.CEILING)
+        reader = EspStreamReader()
         try:
-            while reader.next_message() is not None:
-                pass
+            for piece in pieces(data, blob) + [b""]:
+                reader.feed(piece)
         except ProtocolError:
             pass
