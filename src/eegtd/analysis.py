@@ -12,7 +12,8 @@ import numpy as np
 from eegtd.core import ClassId, DynamicsKind, Epoch, EventSchedule, Recording
 from eegtd.dataset import assign_labels, check_same_length, free_window_starts
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta, window_confusion
-from eegtd.model import HierarchicalModel, _backward_batch, predict_batch, stack_epochs
+from eegtd.model import (HierarchicalModel, _backward_batch, predict_batch, predict_occluded,
+                         stack_epochs)
 
 CLASS_NAMES = {
     int(ClassId.NON_TARGET): "NonTarget",
@@ -153,17 +154,17 @@ def occlusion_saliency(
     model: HierarchicalModel, eval_epochs: list[Epoch], cfg: MetricConfig
 ) -> ChannelSaliency:
     """Importance per channel: macro F_beta drop when that channel is zeroed
-    after standardization (zero = the channel's uninformative mean)."""
+    after standardization (zero = the channel's uninformative mean). Scored
+    by `predict_occluded`, which subtracts each channel's share of one linear
+    front-end pass per stage and chunk; its labels are the zeroed copy's
+    except where a window's top two classes tie to ~1e-15."""
     x, y = stack_epochs(eval_epochs)
     baseline, _ = _score_windows(model, x, y, cfg)
-    n_channels = x.shape[1]
-    importance = np.zeros(n_channels)
-    for c in range(n_channels):
-        saved = x[:, c, :].copy()
-        x[:, c, :] = 0.0
-        importance[c] = baseline - _score_windows(model, x, y, cfg)[0]
-        x[:, c, :] = saved
-    return ChannelSaliency(baseline, importance)
+    importance = [
+        baseline - macro_f_beta(window_confusion(y, probs.argmax(axis=1)), cfg)
+        for probs in predict_occluded(model, x)
+    ]
+    return ChannelSaliency(baseline, np.array(importance))
 
 
 def gradient_saliency(

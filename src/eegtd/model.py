@@ -15,6 +15,10 @@ front end, each block and dense hidden layer, then stage B's in the same
 order. Only a training step keeps a backward cache; eval pools without
 argmax indices.
 
+The front end is linear in the input too, so `predict_occluded` scores each
+zeroed-channel copy from one front-end pass per stage and chunk, less that
+channel's share: the zeroed copy's labels, unless two classes tie to ~1e-15.
+
 All arithmetic is float64 numpy with hand-derived reverse-mode gradients;
 `backward` is checked against central finite differences in the tests.
 Training is Adam with decoupled weight decay and is bit-deterministic
@@ -339,20 +343,21 @@ def _stage_forward(
     x: np.ndarray,
     rng: np.random.Generator | None = None,
     keep_cache: bool = False,
+    z0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
     """Logits (B, 2) and the backward cache; an rng switches dropout on.
 
     Each conv layer pools z, then applies ELU to the pooled third. The cache
     (each layer's input, pooled z, argmax indices and dropout mask) is built
     only with keep_cache; without it, as in eval, each pool is a running
-    maximum with no indices and the cache is None."""
+    maximum with no indices and the cache is None. A given z0 (B, G, T1)
+    stands in for the front end's pre-activation, bias included."""
     p = stage.params
     convs = _conv_layers(stage, cfg)
     layers = [] if keep_cache else None
     h = x
-    for w, b in convs:
-        z = _lag_conv(w, h)
-        z += b[None, :, None]
+    for i, (w, b) in enumerate(convs):
+        z = z0 if i == 0 and z0 is not None else _lag_conv(w, h) + b[None, :, None]
         if layers is None:
             zp = _maxpool_values(z, cfg.pool_len)
         else:
@@ -421,6 +426,12 @@ def _stage_backward(
     return grads, dh if need_input_grad else None
 
 
+def _check_input(cfg: NetConfig, x: np.ndarray) -> None:
+    if x.ndim != 3 or x.shape[1:] != (cfg.n_channels, cfg.window_len):
+        raise ValueError(f"input shape {x.shape} does not match "
+                         f"(batch, {cfg.n_channels}, {cfg.window_len})")
+
+
 def _forward_batch(
     model: HierarchicalModel,
     x: np.ndarray,
@@ -431,11 +442,7 @@ def _forward_batch(
     their backward caches: built only with keep_cache, which only
     `_backward_batch` asks for; otherwise (None, None)."""
     cfg = model.config
-    if x.ndim != 3 or x.shape[1:] != (cfg.n_channels, cfg.window_len):
-        raise ValueError(
-            f"input shape {x.shape} does not match (batch, {cfg.n_channels}, "
-            f"{cfg.window_len})"
-        )
+    _check_input(cfg, x)
     la, cache_a = _stage_forward(model.stage_a, cfg, x, rng, keep_cache)
     lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, keep_cache)
     return _softmax2(la), _softmax2(lb), (cache_a, cache_b)
@@ -524,15 +531,34 @@ def predict_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized eval-mode prediction over standardized windows (B, C, T):
     argmax labels (ties break to the lowest index) and probabilities."""
-    labels = np.empty(x.shape[0], dtype=np.int64)
     probs = np.empty((x.shape[0], 3))
     for lo in range(0, x.shape[0], PREDICT_CHUNK):
-        hi = min(lo + PREDICT_CHUNK, x.shape[0])
-        pa, pb, _ = _forward_batch(model, x[lo:hi])
-        p = compose_probs(pa, pb)
-        probs[lo:hi] = p
-        labels[lo:hi] = p.argmax(axis=1)
-    return labels, probs
+        pa, pb, _ = _forward_batch(model, x[lo : lo + PREDICT_CHUNK])
+        probs[lo : lo + len(pa)] = compose_probs(pa, pb)
+    return probs.argmax(axis=1), probs
+
+
+def predict_occluded(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
+    """Eval-mode probabilities (C, B, 3) of standardized windows (B, C, T)
+    with channel c zeroed, for each c; x is not written. Per chunk, each
+    stage's front end z runs once, and channel c's copy starts from z less
+    the correlation of x[:, c] with weff[:, c]."""
+    cfg = model.config
+    _check_input(cfg, x)
+    probs = np.empty((cfg.n_channels, x.shape[0], 3))
+    stages = (model.stage_a, model.stage_b)
+    for lo in range(0, x.shape[0], PREDICT_CHUNK):
+        xc = x[lo : lo + PREDICT_CHUNK]
+        fronts = []
+        for stage in stages:
+            w, b = _conv_layers(stage, cfg)[0]
+            fronts.append((w, _lag_conv(w, xc) + b[None, :, None]))
+        for c in range(cfg.n_channels):
+            lags = sliding_window_view(xc[:, c], cfg.kernel_len, axis=-1).transpose(0, 2, 1)
+            pa, pb = (_softmax2(_stage_forward(stage, cfg, xc, z0=z - w[:, c] @ lags)[0])
+                      for stage, (w, z) in zip(stages, fronts))
+            probs[c, lo : lo + len(xc)] = compose_probs(pa, pb)
+    return probs
 
 
 def _iter_params(model: HierarchicalModel):

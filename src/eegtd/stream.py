@@ -577,15 +577,18 @@ class OnlineEngine:
     def push(self, frames: np.ndarray) -> list[Detection]:
         """Feed sample-major frames; returns detections emitted by this call.
 
-        Frames whose channel count differs from the model's raise
+        Frames that are not a finite real 2-D (n, n_channels) array raise
         ProtocolError before any of them is buffered. The windows this call
         scores are held at once, so its memory grows with the frames pushed.
         """
         frames = np.asarray(frames)
+        if frames.ndim != 2 or frames.dtype.kind not in "biuf":
+            raise ProtocolError(f"frames must be a real (n, {self.n_channels}) array, "
+                                f"got {frames.dtype} of shape {frames.shape}")
         if frames.shape[1] != self.n_channels:
-            raise ProtocolError(
-                f"stream has {frames.shape[1]} channels, model {self.n_channels}"
-            )
+            raise ProtocolError(f"stream has {frames.shape[1]} channels, model {self.n_channels}")
+        if not np.isfinite(frames).all():
+            raise ProtocolError("non-finite sample in frames")
         w, stride = self.window_len, self.cfg.infer_stride
         head = self.ring.write_head
         ends = range(self._next_eval, head + frames.shape[0] + 1, stride)

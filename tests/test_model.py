@@ -27,6 +27,7 @@ from eegtd.model import (
     loss_clamp_count,
     param_shapes,
     predict_batch,
+    predict_occluded,
     reset_loss_clamp_count,
     save_model,
     stack_epochs,
@@ -36,6 +37,7 @@ from eegtd.model import (
     _elu,
     _elu_grad,
     _forward_batch,
+    _lag_conv,
     _maxpool,
     _maxpool_backward,
     _maxpool_values,
@@ -588,6 +590,66 @@ class TestPredict:
     def test_dimension_mismatch(self, tiny_model):
         with pytest.raises(ValueError, match="shape"):
             forward(tiny_model, np.zeros((3, 21)))
+
+
+@pytest.fixture(scope="module")
+def saturated_default():
+    # Weights 4x the init scale make the output feel the last bits; 300
+    # windows cross one PREDICT_CHUNK boundary.
+    model = init_model(NetConfig(), seed=6)
+    for stage in (model.stage_a, model.stage_b):
+        for value in stage.params.values():
+            value *= 4.0
+    x = standardize(np.random.default_rng(5).standard_normal((300, 32, 250)))
+    assert len(x) > PREDICT_CHUNK
+    return model, x
+
+
+class TestPredictOccluded:
+    def test_matches_forward_of_zeroed_copy(self, saturated_default):
+        model, x = saturated_default
+        occluded = predict_occluded(model, x)
+        assert occluded.shape == (32, 300, 3)
+        for c, probs in enumerate(occluded):
+            zeroed = x.copy()
+            zeroed[:, c] = 0.0
+            labels, expected = predict_batch(model, zeroed)
+            np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+            assert np.array_equal(probs.argmax(axis=1), labels)
+
+    def test_flat_channel_keeps_baseline_bit_for_bit(self, tiny_model):
+        x = np.random.default_rng(2).standard_normal((7, 3, 20))
+        x[:, 1] = 4.0
+        x = standardize(x)
+        assert not x[:, 1].any()
+        _, baseline = predict_batch(tiny_model, x)
+        assert np.array_equal(predict_occluded(tiny_model, x)[1], baseline)
+
+    def test_read_only_input_left_unchanged(self, tiny_model):
+        x = standardize(np.random.default_rng(3).standard_normal((6, 3, 20)))
+        before = x.copy()
+        x.setflags(write=False)
+        probs = predict_occluded(tiny_model, x)
+        assert np.array_equal(x, before)
+        np.testing.assert_allclose(probs.sum(axis=2), 1.0)
+
+    def test_dimension_mismatch(self, tiny_model):
+        with pytest.raises(ValueError, match="shape"):
+            predict_occluded(tiny_model, np.zeros((2, 3, 21)))
+
+    def test_front_end_runs_once_per_stage_and_chunk(self, saturated_default, monkeypatch):
+        model, x = saturated_default
+        front_ends = []
+
+        def counting(w, h):
+            if h.shape[1] == model.config.n_channels:
+                front_ends.append(h.shape[0])
+            return _lag_conv(w, h)
+
+        monkeypatch.setattr("eegtd.model._lag_conv", counting)
+        predict_occluded(model, x)
+        # Two stages, chunks of 256 and 44 windows.
+        assert sorted(front_ends) == [44, 44, 256, 256]
 
 
 class TestDropout:

@@ -517,6 +517,20 @@ class TestOnlineEngine:
         assert a == b == c
         assert len(a) >= 5
 
+    @pytest.mark.parametrize("bad, match", [
+        (np.zeros(2), "real \\(n, 2\\) array"),
+        (np.zeros((3, 2, 1)), "real \\(n, 2\\) array"),
+        (np.array([["a", "b"]]), "real \\(n, 2\\) array"),
+        (np.full((300, 2), np.nan), "non-finite"),
+        (np.array([[0.0, 1.0], [np.inf, 0.0]]), "non-finite"),
+    ])
+    def test_malformed_frames_rejected_before_buffering(self, bad, match):
+        engine = OnlineEngine(init_model(NetConfig(n_channels=2), seed=2), OnlineConfig())
+        engine.push(np.zeros((10, 2)))
+        with pytest.raises(ProtocolError, match=match):
+            engine.push(bad)
+        assert engine.ring.write_head == 10
+
     def test_class_attribution_sums_over_run(self):
         rows = flag_rows(2500, [(1000, 1250)], on=(0.1, 0.4, 0.5))
         dets = debounce(rows, self.CFG)
