@@ -12,8 +12,7 @@ import numpy as np
 from eegtd.core import ClassId, DynamicsKind, Epoch, EventSchedule, Recording
 from eegtd.dataset import assign_labels, check_same_length, free_window_starts
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta, window_confusion
-from eegtd.model import (HierarchicalModel, _backward_batch, predict_batch, predict_occluded,
-                         stack_epochs)
+from eegtd.model import HierarchicalModel, backward, predict_batch, predict_occluded, stack_epochs
 
 CLASS_NAMES = {
     int(ClassId.NON_TARGET): "NonTarget",
@@ -78,6 +77,8 @@ def grand_average_erp(
             f"horizon ({horizon_s} s) and baseline ({baseline_s} s) must be "
             "finite, and the baseline >= 0"
         )
+    if not channels:
+        raise ValueError("no channels requested")
     idx = np.array([rec.channel_index(name) for name in channels])
     data = rec.samples[idx]
     n_horizon = int(round(horizon_s * rec.sampling_rate))
@@ -175,10 +176,8 @@ def gradient_saliency(
     total = np.zeros(x.shape[1])
     for lo in range(0, x.shape[0], GRADIENT_CHUNK):
         hi = min(lo + GRADIENT_CHUNK, x.shape[0])
-        # _backward_batch averages over the batch, so rescale with the size.
-        _, _, dx = _backward_batch(
-            model, x[lo:hi], y[lo:hi], need_input_grad=True
-        )
+        # backward averages over the batch, so rescale with the size.
+        _, _, dx = backward(model, x[lo:hi], y[lo:hi], need_input_grad=True)
         total += np.abs(dx * (hi - lo)).mean(axis=2).sum(axis=0)
     return total / x.shape[0]
 

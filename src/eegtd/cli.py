@@ -318,7 +318,7 @@ def _selftest_metrics() -> bool:
 
 
 def _selftest_gradients() -> bool:
-    from eegtd.model import backward, forward, loss, standardize
+    from eegtd.model import backward, cross_entropy, forward, standardize
 
     cfg = NetConfig(
         n_channels=3, window_len=20, temporal_filters=2, deep_filters=(2,),
@@ -326,10 +326,11 @@ def _selftest_gradients() -> bool:
     )
     model = init_model(cfg, seed=11)
     rng = np.random.default_rng(42)
-    x = standardize(rng.standard_normal((3, 20)))
+    x = standardize(rng.standard_normal((1, 3, 20)))
     h = 1e-4
     for label in (0, 1, 2):
-        grads, _ = backward(model, x, label)
+        labels = np.array([label])
+        grads, _, _ = backward(model, x, labels)
         for stage_name in ("stage_a", "stage_b"):
             stage = getattr(model, stage_name)
             for name, arr in stage.params.items():
@@ -337,9 +338,9 @@ def _selftest_gradients() -> bool:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + h
-                    lp = loss(forward(model, x), label)
+                    lp = cross_entropy(forward(model, x), labels)[0]
                     flat[i] = orig - h
-                    lm = loss(forward(model, x), label)
+                    lm = cross_entropy(forward(model, x), labels)[0]
                     flat[i] = orig
                     fd = (lp - lm) / (2 * h)
                     an = grads[stage_name][name].ravel()[i]

@@ -180,8 +180,11 @@ def read_detections_csv(source: TextIO) -> list[Detection]:
     for row_no, row in enumerate(reader, start=1):
         if not row:
             continue
+        if len(row) != 3:
+            raise FormatError(f"detection row {row_no} has {len(row)} cells, "
+                              f"expected 3: {row!r}")
         try:
             out.append(Detection(int(row[0]), ClassId(int(row[1])), float(row[2])))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise FormatError(f"unparsable detection row {row_no}: {row!r}") from exc
     return out

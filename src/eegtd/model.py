@@ -19,6 +19,9 @@ The front end is linear in the input too, so `predict_occluded` scores each
 zeroed-channel copy from one front-end pass per stage and chunk, less that
 channel's share: the zeroed copy's labels, unless two classes tie to ~1e-15.
 
+The model's API takes batches of standardized windows (B, C, T); one window
+is a 1-row batch. `forward` gives the composed probabilities (B, 3),
+`cross_entropy` each row's loss, and `backward` the gradients of their mean.
 All arithmetic is float64 numpy with hand-derived reverse-mode gradients;
 `backward` is checked against central finite differences in the tests.
 Training is Adam with decoupled weight decay and is bit-deterministic
@@ -36,7 +39,7 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eegtd.core import ClassId, Epoch, FormatError, read_exact
+from eegtd.core import Epoch, FormatError, read_exact
 from eegtd.seeding import child_seed
 
 HMDL_MAGIC = b"HMDL"
@@ -59,7 +62,7 @@ _loss_clamp_count = 0
 
 
 def loss_clamp_count() -> int:
-    """How many times a zero class probability was clamped in `loss`."""
+    """How many times a zero class probability was clamped in `cross_entropy`."""
     return _loss_clamp_count
 
 
@@ -187,8 +190,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("rates must be non-negative")
+        if not (0 <= self.learning_rate < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValueError(f"learning rate ({self.learning_rate}) and weight decay "
+                             f"({self.weight_decay}) must be finite and >= 0")
 
 
 def standardize(epoch_data: np.ndarray) -> np.ndarray:
@@ -432,62 +436,50 @@ def _check_input(cfg: NetConfig, x: np.ndarray) -> None:
                          f"(batch, {cfg.n_channels}, {cfg.window_len})")
 
 
-def _forward_batch(
+def forward(
     model: HierarchicalModel,
     x: np.ndarray,
     rng: np.random.Generator | None = None,
-    keep_cache: bool = False,
-) -> tuple[np.ndarray, np.ndarray, tuple[dict | None, dict | None]]:
-    """Both stages' softmax outputs for standardized input (B, C, T), and
-    their backward caches: built only with keep_cache, which only
-    `_backward_batch` asks for; otherwise (None, None)."""
+) -> np.ndarray:
+    """Composed 3-class probabilities (B, 3) of standardized windows
+    (B, C, T); passing an rng draws dropout masks from it (training mode)."""
     cfg = model.config
     _check_input(cfg, x)
-    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng, keep_cache)
-    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, keep_cache)
-    return _softmax2(la), _softmax2(lb), (cache_a, cache_b)
+    la, _ = _stage_forward(model.stage_a, cfg, x, rng)
+    lb, _ = _stage_forward(model.stage_b, cfg, x, rng)
+    return compose_probs(_softmax2(la), _softmax2(lb))
 
 
-def forward(
-    model: HierarchicalModel,
-    epoch_data: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Composed 3-class probabilities for one standardized window; passing
-    an rng draws dropout masks from it (training mode)."""
-    x = np.asarray(epoch_data, dtype=np.float64)[None]
-    pa, pb, _ = _forward_batch(model, x, rng)
-    return compose_probs(pa, pb)[0]
-
-
-def loss(probs: np.ndarray, label: ClassId | int) -> float:
-    """Cross-entropy of the composed probabilities against a one-hot label."""
-    probs = np.asarray(probs, dtype=np.float64)[None]
-    return float(_cross_entropy(probs, np.array([int(label)]))[0])
-
-
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-row -log p(label), zero probabilities clamped to LOSS_EPS."""
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row -log p(label) of composed probabilities (B, 3) against integer
+    labels (B,); zero probabilities are clamped to LOSS_EPS and counted."""
     global _loss_clamp_count
     picked = probs[np.arange(len(labels)), labels]
     _loss_clamp_count += int((picked < LOSS_EPS).sum())
     return -np.log(np.maximum(picked, LOSS_EPS))
 
 
-def _backward_batch(
+def backward(
     model: HierarchicalModel,
     x: np.ndarray,
     labels: np.ndarray,
     rng: np.random.Generator | None = None,
     need_input_grad: bool = False,
 ) -> tuple[dict[str, dict[str, np.ndarray]], float, np.ndarray | None]:
-    """Gradients of the mean composed cross-entropy over the batch.
+    """Exact gradients of the mean cross-entropy of forward(x) against
+    labels (B,), w.r.t. every parameter.
 
     Returns ({"stage_a": {...}, "stage_b": {...}}, mean_loss, d_input);
-    d_input is None unless requested.
+    d_input is None unless requested. Pass an rng to draw dropout masks
+    (training mode); omit it for the deterministic no-dropout gradients the
+    finite-difference oracle checks.
     """
-    pa, pb, (cache_a, cache_b) = _forward_batch(model, x, rng, keep_cache=True)
-    losses = _cross_entropy(compose_probs(pa, pb), labels)
+    cfg = model.config
+    _check_input(cfg, x)
+    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng, keep_cache=True)
+    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, keep_cache=True)
+    pa, pb = _softmax2(la), _softmax2(lb)
+    losses = cross_entropy(compose_probs(pa, pb), labels)
     b = x.shape[0]
     is_target = labels > 0
 
@@ -502,28 +494,10 @@ def _backward_batch(
         onehot_b[np.arange(len(rows)), labels[rows] - 1] = 1.0
         dlb[rows] = (pb[rows] - onehot_b) / b
 
-    cfg = model.config
     grads_a, dx_a = _stage_backward(model.stage_a, cfg, cache_a, dla, need_input_grad)
     grads_b, dx_b = _stage_backward(model.stage_b, cfg, cache_b, dlb, need_input_grad)
     dx = dx_a + dx_b if need_input_grad else None
     return {"stage_a": grads_a, "stage_b": grads_b}, float(losses.mean()), dx
-
-
-def backward(
-    model: HierarchicalModel,
-    epoch_data: np.ndarray,
-    label: ClassId | int,
-    rng: np.random.Generator | None = None,
-) -> tuple[dict[str, dict[str, np.ndarray]], float]:
-    """Exact gradients of loss(forward(x), label) w.r.t. every parameter.
-
-    Pass an rng to draw dropout masks (training mode); omit it for the
-    deterministic no-dropout gradients the finite-difference oracle checks.
-    """
-    x = np.asarray(epoch_data, dtype=np.float64)[None]
-    labels = np.array([int(label)])
-    grads, mean_loss, _ = _backward_batch(model, x, labels, rng)
-    return grads, mean_loss
 
 
 def predict_batch(
@@ -533,8 +507,8 @@ def predict_batch(
     argmax labels (ties break to the lowest index) and probabilities."""
     probs = np.empty((x.shape[0], 3))
     for lo in range(0, x.shape[0], PREDICT_CHUNK):
-        pa, pb, _ = _forward_batch(model, x[lo : lo + PREDICT_CHUNK])
-        probs[lo : lo + len(pa)] = compose_probs(pa, pb)
+        chunk = x[lo : lo + PREDICT_CHUNK]
+        probs[lo : lo + len(chunk)] = forward(model, chunk)
     return probs.argmax(axis=1), probs
 
 
@@ -593,7 +567,7 @@ def train(
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            grads, mean_loss, _ = _backward_batch(model, x[idx], y[idx], rng_dropout)
+            grads, mean_loss, _ = backward(model, x[idx], y[idx], rng_dropout)
             if not np.isfinite(mean_loss):
                 raise RuntimeError(
                     f"non-finite loss {mean_loss} at step {step}; "

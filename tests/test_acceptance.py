@@ -35,13 +35,11 @@ from eegtd.model import (
     NetConfig,
     TrainConfig,
     backward,
-    compose_probs,
+    cross_entropy,
     forward,
     init_model,
-    loss,
     standardize,
     train,
-    _forward_batch,
 )
 from eegtd.montage import FRONTAL_CHANNELS, OCCIPITAL_CHANNELS
 from eegtd.stream import DataMessage, ReplayServer, client_receive
@@ -184,12 +182,13 @@ def test_criterion_3_gradient_correctness():
     started = time.perf_counter()
     model = init_model(TINY, seed=11)
     rng = np.random.default_rng(42)
-    x = standardize(rng.standard_normal((3, 20)))
+    x = standardize(rng.standard_normal((1, 3, 20)))
     h = 1e-4
     worst = 0.0
     n_checked = 0
     for label in (0, 1, 2):
-        grads, _ = backward(model, x, label)
+        labels = np.array([label])
+        grads, _, _ = backward(model, x, labels)
         for stage_name in ("stage_a", "stage_b"):
             stage = getattr(model, stage_name)
             for name, arr in stage.params.items():
@@ -197,9 +196,9 @@ def test_criterion_3_gradient_correctness():
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + h
-                    lp = loss(forward(model, x), label)
+                    lp = cross_entropy(forward(model, x), labels)[0]
                     flat[i] = orig - h
-                    lm = loss(forward(model, x), label)
+                    lm = cross_entropy(forward(model, x), labels)[0]
                     flat[i] = orig
                     fd = (lp - lm) / (2 * h)
                     an = grads[stage_name][name].ravel()[i]
@@ -224,8 +223,7 @@ def test_criterion_4_probability_composition():
     min_entry = 1.0
     for seed in range(10000):
         model = init_model(TINY, seed=seed)
-        pa, pb, _ = _forward_batch(model, x)
-        probs = compose_probs(pa, pb)[0]
+        probs = forward(model, x)[0]
         worst_sum = max(worst_sum, abs(probs.sum() - 1.0))
         min_entry = min(min_entry, probs.min())
     ok = worst_sum <= 1e-6 and min_entry >= 0.0

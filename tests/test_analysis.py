@@ -19,9 +19,10 @@ from eegtd.metrics import MetricConfig
 from eegtd.model import (
     NetConfig,
     TrainConfig,
+    backward,
+    cross_entropy,
     forward,
     init_model,
-    loss,
     predict_batch,
     stack_epochs,
     standardize,
@@ -271,23 +272,19 @@ class TestGradientSaliency:
     def test_matches_finite_differences_on_coordinates(self, trained_single_channel_model):
         model, epochs = trained_single_channel_model
         ep = epochs[40]  # a class-1 epoch
-        x = standardize(ep.data)
-        from eegtd.model import _backward_batch
-
-        _, _, dx = _backward_batch(
-            model, x[None], np.array([int(ep.label)]), need_input_grad=True
-        )
-        dx = dx[0]
+        x = standardize(ep.data)[None]
+        labels = np.array([int(ep.label)])
+        _, _, dx = backward(model, x, labels, need_input_grad=True)
         rng = np.random.default_rng(1)
         h = 1e-4
         for _ in range(3):
             c = int(rng.integers(0, 4))
             t = int(rng.integers(0, 40))
-            xp = x.copy(); xp[c, t] += h
-            xm = x.copy(); xm[c, t] -= h
-            fd = (loss(forward(model, xp), int(ep.label))
-                  - loss(forward(model, xm), int(ep.label))) / (2 * h)
-            assert abs(dx[c, t] - fd) / (abs(fd) + 1e-8) < 1e-3
+            xp = x.copy(); xp[0, c, t] += h
+            xm = x.copy(); xm[0, c, t] -= h
+            fd = (cross_entropy(forward(model, xp), labels)[0]
+                  - cross_entropy(forward(model, xm), labels)[0]) / (2 * h)
+            assert abs(dx[0, c, t] - fd) / (abs(fd) + 1e-8) < 1e-3
 
     def test_csv_writer(self, trained_single_channel_model):
         model, epochs = trained_single_channel_model

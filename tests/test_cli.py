@@ -352,6 +352,37 @@ class TestTrainAndDownstream:
         assert "error: horizon must cover" in err
         assert "Traceback" not in err
 
+    def test_analyze_erp_without_channels_is_one_line(self, small_session, capsys):
+        tmp, prefix, _ = small_session
+        code = main(["analyze-erp", "--recording", f"{prefix}.eegr",
+                     "--schedule", f"{prefix}.schedule.csv",
+                     "--out", str(tmp / "erp-none.csv"), "--channels", ","])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1
+        assert "error: no channels requested" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--learning-rate", "nan"]),
+        ("train", ["--weight-decay", "inf"]),
+        ("calibrate", ["--lr-scale", "nan"]),
+    ])
+    def test_non_finite_rate_is_one_line(self, small_session, capsys, command, flags):
+        tmp, prefix, model_path = small_session
+        args = [command, "--recording", f"{prefix}.eegr",
+                "--schedule", f"{prefix}.schedule.csv",
+                "--out-model", str(tmp / "never.hmdl"), *flags]
+        if command == "calibrate":
+            args += ["--model", str(model_path)]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1
+        assert "must be finite and >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp / "never.hmdl").exists()
+
 
 class TestInferOnlineErrors:
     def test_protocol_error_is_one_line(self, tmp_path, capsys):

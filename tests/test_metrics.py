@@ -277,3 +277,11 @@ class TestDetectionsCsv:
 
         with pytest.raises(FormatError, match="header"):
             read_detections_csv(io.StringIO("a,b,c\n"))
+
+    @pytest.mark.parametrize("row", ["300,1,0.5,junk", "300,1"])
+    def test_row_without_three_cells_names_the_row(self, row):
+        from eegtd.core import FormatError
+
+        text = f"time,class,confidence\n100,1,0.5\n{row}\n"
+        with pytest.raises(FormatError, match="row 2 has"):
+            read_detections_csv(io.StringIO(text))

@@ -1,13 +1,16 @@
 """Hierarchical model: composition, gradients vs finite differences,
 training determinism, serialization."""
 
+import ast
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import eegtd
 from eegtd.core import ClassId, Epoch, FormatError
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta
 from eegtd.model import (
@@ -20,10 +23,10 @@ from eegtd.model import (
     backward,
     calibrate,
     compose_probs,
+    cross_entropy,
     forward,
     init_model,
     load_model,
-    loss,
     loss_clamp_count,
     param_shapes,
     predict_batch,
@@ -33,15 +36,14 @@ from eegtd.model import (
     stack_epochs,
     standardize,
     train,
-    _backward_batch,
     _elu,
     _elu_grad,
-    _forward_batch,
     _lag_conv,
     _maxpool,
     _maxpool_backward,
     _maxpool_values,
     _softmax2,
+    _stage_forward,
 )
 
 TINY = NetConfig(
@@ -63,18 +65,19 @@ def tiny_model():
 
 @pytest.fixture()
 def tiny_input():
+    """One standardized window as a 1-row batch (1, 3, 20)."""
     rng = np.random.default_rng(42)
-    return standardize(rng.standard_normal((3, 20)))
+    return standardize(rng.standard_normal((1, 3, 20)))
 
 
-def finite_difference(model, x, label, stage_name, param_name, index, h=1e-4):
+def finite_difference(model, x, labels, stage_name, param_name, index, h=1e-4):
     stage = getattr(model, stage_name)
     flat = stage.params[param_name].ravel()
     orig = flat[index]
     flat[index] = orig + h
-    lp = loss(forward(model, x), label)
+    lp = cross_entropy(forward(model, x), labels)[0]
     flat[index] = orig - h
-    lm = loss(forward(model, x), label)
+    lm = cross_entropy(forward(model, x), labels)[0]
     flat[index] = orig
     return (lp - lm) / (2 * h)
 
@@ -88,28 +91,29 @@ class TestComposition:
         for stage in (tiny_model.stage_a, tiny_model.stage_b):
             for name in stage.params:
                 stage.params[name][:] = 0.0
-        probs = forward(tiny_model, tiny_input)
+        probs = forward(tiny_model, tiny_input)[0]
         assert probs == pytest.approx([0.5, 0.25, 0.25])
 
     def test_simplex_on_random_parameter_draws(self, tiny_input):
         for seed in range(200):
             model = init_model(TINY, seed=seed)
-            probs = forward(model, tiny_input)
+            probs = forward(model, tiny_input)[0]
             assert probs.sum() == pytest.approx(1.0, abs=1e-6)
             assert np.all(probs >= 0)
 
 
 class TestLoss:
     def test_hand_values(self):
-        assert loss(np.array([0.8, 0.1, 0.1]), 1) == pytest.approx(2.302585, abs=1e-6)
-        assert loss(np.array([0.5, 0.25, 0.25]), 0) == pytest.approx(0.693147, abs=1e-6)
+        probs = np.array([[0.8, 0.1, 0.1], [0.5, 0.25, 0.25]])
+        value = cross_entropy(probs, np.array([1, 0]))
+        assert value == pytest.approx([2.302585, 0.693147], abs=1e-6)
 
     def test_certain_prediction_zero_loss(self):
-        assert loss(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        assert cross_entropy(np.array([[0.0, 1.0, 0.0]]), np.array([1]))[0] == 0.0
 
     def test_zero_probability_clamped_with_warning(self):
         reset_loss_clamp_count()
-        value = loss(np.array([1.0, 0.0, 0.0]), 1)
+        value = cross_entropy(np.array([[1.0, 0.0, 0.0]]), np.array([1]))[0]
         assert value == pytest.approx(-np.log(1e-12))
         assert loss_clamp_count() == 1
         reset_loss_clamp_count()
@@ -199,13 +203,14 @@ class TestGradients:
     def test_all_parameters_match_finite_differences(self, tiny_model, tiny_input):
         # every parameter of a tiny config, all three labels
         for label in (0, 1, 2):
-            grads, _ = backward(tiny_model, tiny_input, label)
+            labels = np.array([label])
+            grads, _, _ = backward(tiny_model, tiny_input, labels)
             for stage_name in ("stage_a", "stage_b"):
                 stage = getattr(tiny_model, stage_name)
                 for name, arr in stage.params.items():
                     for index in range(arr.size):
                         fd = finite_difference(
-                            tiny_model, tiny_input, label, stage_name, name, index
+                            tiny_model, tiny_input, labels, stage_name, name, index
                         )
                         an = grads[stage_name][name].ravel()[index]
                         rel = abs(an - fd) / (abs(an) + 1e-8)
@@ -213,29 +218,27 @@ class TestGradients:
 
     def test_stage_b_gradient_zero_for_nontarget_label(self, tiny_model, tiny_input):
         # composed probability of class 0 is a0 alone, so stage B gets no signal
-        grads, _ = backward(tiny_model, tiny_input, 0)
+        grads, _, _ = backward(tiny_model, tiny_input, np.array([0]))
         for name, g in grads["stage_b"].items():
             assert np.all(g == 0.0), name
 
     def test_both_stages_nonzero_for_target_labels(self, tiny_model, tiny_input):
         for label in (1, 2):
-            grads, _ = backward(tiny_model, tiny_input, label)
+            grads, _, _ = backward(tiny_model, tiny_input, np.array([label]))
             assert max(np.abs(g).max() for g in grads["stage_a"].values()) > 0
             assert max(np.abs(g).max() for g in grads["stage_b"].values()) > 0
 
     def test_deterministic_without_dropout(self, tiny_model, tiny_input):
-        g1, l1 = backward(tiny_model, tiny_input, 1)
-        g2, l2 = backward(tiny_model, tiny_input, 1)
+        g1, l1, _ = backward(tiny_model, tiny_input, np.array([1]))
+        g2, l2, _ = backward(tiny_model, tiny_input, np.array([1]))
         assert l1 == l2
         for sn in ("stage_a", "stage_b"):
             for name in g1[sn]:
                 assert np.array_equal(g1[sn][name], g2[sn][name])
 
     def test_input_gradient_matches_finite_differences(self, tiny_model, tiny_input):
-        _, _, dx = _backward_batch(
-            tiny_model, tiny_input[None], np.array([1]), need_input_grad=True
-        )
-        dx = dx[0]
+        labels = np.array([1])
+        _, _, dx = backward(tiny_model, tiny_input, labels, need_input_grad=True)
         x = tiny_input.copy()
         h = 1e-4
         rng = np.random.default_rng(0)
@@ -244,9 +247,9 @@ class TestGradients:
             flat = x.ravel()
             orig = flat[i]
             flat[i] = orig + h
-            lp = loss(forward(tiny_model, x), 1)
+            lp = cross_entropy(forward(tiny_model, x), labels)[0]
             flat[i] = orig - h
-            lm = loss(forward(tiny_model, x), 1)
+            lm = cross_entropy(forward(tiny_model, x), labels)[0]
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(dx.ravel()[i] - fd) / (abs(fd) + 1e-8) < 1e-3
@@ -326,7 +329,7 @@ class TestDefaultConfigReference:
     sliding-window reference; the finite-difference tests cover only TINY."""
 
     @pytest.mark.parametrize("labels", [[2], [0, 1, 2, 1, 0]])
-    def test_backward_batch_matches_reference(self, labels):
+    def test_backward_matches_reference(self, labels):
         cfg = NetConfig()
         model = init_model(cfg, seed=4)
         labels = np.array(labels)
@@ -343,11 +346,14 @@ class TestDefaultConfigReference:
 
         la, ref_a, dx_a = reference_stage(model.stage_a.params, cfg, x, d_a)
         lb, ref_b, dx_b = reference_stage(model.stage_b.params, cfg, x, d_b)
-        pa, pb, _ = _forward_batch(model, x)
+        pa = _softmax2(_stage_forward(model.stage_a, cfg, x)[0])
+        pb = _softmax2(_stage_forward(model.stage_b, cfg, x)[0])
         assert_close(pa, _softmax2(la), "stage A softmax")
         assert_close(pb, _softmax2(lb), "stage B softmax")
-        grads, mean_loss, dx = _backward_batch(model, x, labels, need_input_grad=True)
-        ref_loss = -np.log(compose_probs(_softmax2(la), _softmax2(lb))[np.arange(b), labels])
+        ref_probs = compose_probs(_softmax2(la), _softmax2(lb))
+        assert_close(forward(model, x), ref_probs, "composed probabilities")
+        grads, mean_loss, dx = backward(model, x, labels, need_input_grad=True)
+        ref_loss = -np.log(ref_probs[np.arange(b), labels])
         assert mean_loss == pytest.approx(ref_loss.mean(), rel=1e-12)
         for stage_name, ref in (("stage_a", ref_a), ("stage_b", ref_b)):
             assert grads[stage_name].keys() == ref.keys()
@@ -355,7 +361,7 @@ class TestDefaultConfigReference:
                 assert_close(grads[stage_name][name], value, f"{stage_name}.{name}")
         assert_close(dx, dx_a + dx_b, "input gradient")
 
-    def test_backward_batch_with_dropout_matches_reference(self):
+    def test_backward_with_dropout_matches_reference(self):
         # Masks come from the rng in the order stage A (front end, each
         # block, dense hidden), then stage B.
         cfg = NetConfig()
@@ -376,10 +382,10 @@ class TestDefaultConfigReference:
         rng = np.random.default_rng(5)
         la, ref_a, _ = reference_stage(model.stage_a.params, cfg, x, d_a, rng)
         lb, ref_b, _ = reference_stage(model.stage_b.params, cfg, x, d_b, rng)
-        grads, mean_loss, _ = _backward_batch(model, x, labels, np.random.default_rng(5))
+        grads, mean_loss, _ = backward(model, x, labels, np.random.default_rng(5))
         ref_loss = -np.log(compose_probs(_softmax2(la), _softmax2(lb))[np.arange(b), labels])
         assert mean_loss == pytest.approx(ref_loss.mean(), rel=1e-12)
-        _, no_dropout_loss, _ = _backward_batch(model, x, labels)
+        _, no_dropout_loss, _ = backward(model, x, labels)
         assert mean_loss != pytest.approx(no_dropout_loss, rel=1e-6)
         for stage_name, ref in (("stage_a", ref_a), ("stage_b", ref_b)):
             for name, value in ref.items():
@@ -418,11 +424,11 @@ class TestEvalPath:
             for value in stage.params.values():
                 value *= 4.0
         x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
-        pa, pb, caches = _forward_batch(model, x)
-        assert caches == (None, None)
-        ca, cb, _ = _forward_batch(model, x, keep_cache=True)
-        assert np.array_equal(pa, ca)
-        assert np.array_equal(pb, cb)
+        for stage in (model.stage_a, model.stage_b):
+            logits, cache = _stage_forward(stage, model.config, x)
+            assert cache is None
+            cached, _ = _stage_forward(stage, model.config, x, keep_cache=True)
+            assert np.array_equal(logits, cached)
 
     def test_predict_batch_builds_no_cache(self, monkeypatch):
         calls = []
@@ -435,9 +441,9 @@ class TestEvalPath:
         model = init_model(TINY, seed=3)
         x = standardize(np.random.default_rng(0).standard_normal((5, 3, 20)))
         predict_batch(model, x)
-        forward(model, x[0])
+        forward(model, x)
         assert calls == []
-        _backward_batch(model, x, np.array([0, 1, 2, 1, 0]))
+        backward(model, x, np.array([0, 1, 2, 1, 0]))
         assert calls  # the training path does pool with indices
 
 
@@ -550,7 +556,7 @@ class TestCalibrate:
 
 class TestPredict:
     def test_argmax_and_tie_break(self, tiny_model, tiny_input):
-        labels, probs = predict_batch(tiny_model, tiny_input[None])
+        labels, probs = predict_batch(tiny_model, tiny_input)
         assert int(labels[0]) == int(np.argmax(probs[0]))
         # explicit tie-break check on the documented rule
         assert np.argmax(np.array([0.4, 0.4, 0.2])) == 0
@@ -558,9 +564,9 @@ class TestPredict:
     def test_matches_forward_on_random_inputs(self, tiny_model):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            x = standardize(rng.standard_normal((3, 20)))
-            labels, probs = predict_batch(tiny_model, x[None])
-            assert np.array_equal(probs[0], forward(tiny_model, x))
+            x = standardize(rng.standard_normal((1, 3, 20)))
+            labels, probs = predict_batch(tiny_model, x)
+            assert np.array_equal(probs, forward(tiny_model, x))
             assert int(labels[0]) == int(np.argmax(probs[0]))
 
     def test_batch_matches_single_window_forward_at_default_config(self):
@@ -569,7 +575,7 @@ class TestPredict:
         x = standardize(np.random.default_rng(9).standard_normal((300, 32, 250)))
         assert len(x) > PREDICT_CHUNK
         labels, probs = predict_batch(model, x)
-        single = np.stack([forward(model, window) for window in x])
+        single = np.concatenate([forward(model, x[i : i + 1]) for i in range(len(x))])
         np.testing.assert_allclose(probs, single, rtol=1e-12)
         assert np.array_equal(labels, single.argmax(axis=1))
 
@@ -585,11 +591,19 @@ class TestPredict:
         x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
         _, probs = predict_batch(model, x)
         for row, window in zip(probs, x):
-            assert np.array_equal(row, forward(model, window))
+            assert np.array_equal(row, forward(model, window[None])[0])
 
     def test_dimension_mismatch(self, tiny_model):
         with pytest.raises(ValueError, match="shape"):
-            forward(tiny_model, np.zeros((3, 21)))
+            forward(tiny_model, np.zeros((1, 3, 21)))
+
+    def test_window_without_batch_axis_rejected(self, tiny_model):
+        # One window is a 1-row batch; a bare (C, T) window is a shape error.
+        window = np.zeros((3, 20))
+        with pytest.raises(ValueError, match="shape"):
+            forward(tiny_model, window)
+        with pytest.raises(ValueError, match="shape"):
+            backward(tiny_model, window, np.array([0]))
 
 
 @pytest.fixture(scope="module")
@@ -697,6 +711,28 @@ class TestSerialization:
         # window 20 -> conv 18 -> pool 9 -> conv 7 -> pool 3; flat = 2*3
         assert shapes["w_dense"] == (6, 4)
         assert shapes["w_out"] == (4, 2)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_rate_not_finite_and_non_negative_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            TrainConfig(**{field: value})
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # Each eegtd module uses only the public names of the others.
+    private = []
+    for path in sorted(Path(eegtd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "eegtd"
+            ):
+                private += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 class TestNetConfigValidation:

@@ -581,8 +581,8 @@ class TestOnlineEngine:
         assert all(runs[chunk] == runs[10] for chunk in chunks)
         assert len(runs[10]) >= 5
         for det in runs[10]:
-            probs = forward(model, standardize(rec.samples[:, det.time - w : det.time]))
-            assert det.confidence == 1.0 - probs[0]
+            window = standardize(rec.samples[None, :, det.time - w : det.time])
+            assert det.confidence == 1.0 - forward(model, window)[0, 0]
 
     def test_first_detection_after_refractory_votes_over_the_held_run(self):
         # The run keeps growing while the refractory interval holds emission,
