@@ -5,16 +5,16 @@ With BLAS pinned to one thread, this
 - runs the clean-stimulus (A1) recipe on 2 training sessions with an
   unpaced stream, at 3 and at 30 training epochs, and hashes its
   model.hmdl, loss_trace.csv and detections.csv;
-- trains the 2-session confounded (video2n) model for 30 epochs and, on a
-  held-out video2n session, hashes the evaluate_epochs result, the occlusion
-  importances and the gradient saliency.
+- trains the 2-session confounded (video2n) model for 30 epochs, hashes it
+  and, on a held-out video2n session, hashes the evaluate_epochs result, the
+  occlusion importances and the gradient saliency.
 
 Every hashed output is kept under --out-dir. Pass --against with the
 --out-dir of another tree's run to compare: each file whose sum differs is
 reported with the size of the difference (detections.csv by time and class,
-arrays by their largest relative difference), and the exit status is 1
-if any output differs, 0 if none does. The last line is the process's peak
-RSS, for information only: --against does not compare it.
+arrays and model parameters by their largest relative difference), and the
+exit status is 1 if any output differs, 0 if none does. The last line is
+the process's peak RSS, for information only: --against does not compare it.
 
 Usage:
     PYTHONPATH=src python scripts/identity_check.py --out-dir ids-new \\
@@ -47,6 +47,7 @@ from eegtd.experiment import (  # noqa: E402
     run_detection_experiment,
 )
 from eegtd.metrics import MetricConfig  # noqa: E402
+from eegtd.model import load_model, save_model  # noqa: E402
 from eegtd.seeding import child_seed  # noqa: E402
 
 SEED = 7
@@ -78,21 +79,32 @@ def run_saliency(out: Path) -> list[Path]:
     epochs = build_eval_dataset(rec, schedule, DatasetConfig(), seed=SEED)
     workdir = out / "saliency"
     workdir.mkdir(parents=True, exist_ok=True)
+    with open(workdir / "model.hmdl", "wb") as fh:
+        save_model(model, fh)
     score, cm = evaluate_epochs(model, epochs, MetricConfig())
     (workdir / "evaluate.txt").write_text(f"{score!r}\n{cm.counts.tolist()}\n")
     occ = occlusion_saliency(model, epochs, MetricConfig())
     np.save(workdir / "occlusion.npy", np.append(occ.importance, occ.baseline_score))
     np.save(workdir / "gradient.npy", gradient_saliency(model, epochs))
-    return [workdir / n for n in ("evaluate.txt", "occlusion.npy", "gradient.npy")]
+    return [workdir / n
+            for n in ("model.hmdl", "evaluate.txt", "occlusion.npy", "gradient.npy")]
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def model_params(path: Path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        model = load_model(fh)
+    return np.concatenate([v.ravel() for st in (model.stage_a, model.stage_b)
+                           for v in st.params.values()])
+
+
 def describe_difference(new: Path, old: Path) -> str:
-    if new.suffix == ".npy":
-        a, b = np.load(new), np.load(old)
+    if new.suffix in (".npy", ".hmdl"):
+        load = np.load if new.suffix == ".npy" else model_params
+        a, b = load(new), load(old)
         rel = np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
         return f"max relative difference {rel:.3g}"
     if new.name == "detections.csv":

@@ -12,8 +12,10 @@ convolution plus bias, max-pool, ELU, dropout. ELU is monotonic, so pooling
 first gives the same values as pooling its output, on a third of the samples.
 Dropout masks are drawn from the rng passed in, in forward order: stage A's
 front end, each block and dense hidden layer, then stage B's in the same
-order. Only a training step keeps a backward cache; eval pools without
-argmax indices.
+order, always at the whole batch's shape. A non-target row's loss, -log a0,
+gives stage B no gradient, so a training step runs stage B's conv layers on
+the target rows alone, and only it keeps a backward cache; eval runs every
+row and pools without argmax indices.
 
 The front end is linear in the input too, so `predict_occluded` scores each
 zeroed-channel copy from one front-end pass per stage and chunk, less that
@@ -199,10 +201,10 @@ def standardize(epoch_data: np.ndarray) -> np.ndarray:
     """Zero-mean unit-std rows along the last axis (population std), for one
     window (C, T) or a stack (N, C, T); near-constant rows map to 0."""
     x = np.array(epoch_data, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    sd = x.std(axis=-1, keepdims=True)
+    x -= x.mean(axis=-1, keepdims=True)
+    # np.std's own steps on the rows already centred: the same bits.
+    sd = np.sqrt(np.square(x).mean(axis=-1, keepdims=True))
     flat = sd < 1e-9
-    x -= mu
     x /= np.where(flat, 1.0, sd)
     np.copyto(x, 0.0, where=flat)
     return x
@@ -348,6 +350,7 @@ def _stage_forward(
     rng: np.random.Generator | None = None,
     keep_cache: bool = False,
     z0: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
     """Logits (B, 2) and the backward cache; an rng switches dropout on.
 
@@ -355,11 +358,15 @@ def _stage_forward(
     (each layer's input, pooled z, argmax indices and dropout mask) is built
     only with keep_cache; without it, as in eval, each pool is a running
     maximum with no indices and the cache is None. A given z0 (B, G, T1)
-    stands in for the front end's pre-activation, bias included."""
+    stands in for the front end's pre-activation, bias included. Given rows,
+    the conv layers run on x[rows] alone, and the dense head on every row
+    with zero features elsewhere: its backward products, which BLAS rounds
+    by batch shape, keep the whole batch's shape, and so do the masks."""
     p = stage.params
     convs = _conv_layers(stage, cfg)
+    keep = slice(None) if rows is None else rows
     layers = [] if keep_cache else None
-    h = x
+    h = x[keep]
     for i, (w, b) in enumerate(convs):
         z = z0 if i == 0 and z0 is not None else _lag_conv(w, h) + b[None, :, None]
         if layers is None:
@@ -367,14 +374,16 @@ def _stage_forward(
         else:
             zp, idx, orig = _maxpool(z, cfg.pool_len)
         a = _elu(zp)
-        mask = _dropout_mask(cfg, a.shape, rng)
+        mask = _dropout_mask(cfg, (len(x), *a.shape[1:]), rng)
         if mask is not None:
+            mask = mask[keep]
             a *= mask
         if layers is not None:
             layers.append((h, zp, idx, orig, mask))
         h = a
 
-    flat = h.reshape(h.shape[0], -1)
+    flat = np.zeros((len(x), cfg.feature_len()))
+    flat[keep] = h.reshape(len(h), cfg.feature_len())
     d1 = _rowwise_matmul(flat, p["w_dense"]) + p["b_dense"]
     hid = _elu(d1)
     mask = _dropout_mask(cfg, hid.shape, rng)
@@ -384,7 +393,7 @@ def _stage_forward(
     if layers is None:
         return logits, None
     cache = {"convs": convs, "layers": layers, "flat": flat, "d1": d1,
-             "hid": hid, "dense_mask": mask}
+             "hid": hid, "dense_mask": mask, "rows": keep}
     return logits, cache
 
 
@@ -409,7 +418,7 @@ def _stage_backward(
     grads["b_dense"] = dd1.sum(axis=0)
     layers = cache["layers"]
     # The last layer's pooled z has its output's shape.
-    dh = (dd1 @ p["w_dense"].T).reshape(layers[-1][1].shape)
+    dh = (dd1 @ p["w_dense"].T)[cache["rows"]].reshape(layers[-1][1].shape)
 
     for i in reversed(range(len(layers))):
         h_in, zp, idx, orig, mask = layers[i]
@@ -450,10 +459,19 @@ def forward(
     return compose_probs(_softmax2(la), _softmax2(lb))
 
 
+def _check_labels(labels: np.ndarray, b: int) -> None:
+    if not (isinstance(labels, np.ndarray) and labels.shape == (b,)
+            and np.issubdtype(labels.dtype, np.integer)
+            and np.all((labels >= 0) & (labels <= 2))):
+        raise ValueError(f"labels must be a 1-D integer array of {b} values in {{0, 1, 2}}")
+
+
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row -log p(label) of composed probabilities (B, 3) against integer
-    labels (B,); zero probabilities are clamped to LOSS_EPS and counted."""
+    labels (B,) in {0, 1, 2}; zero probabilities are clamped to LOSS_EPS and
+    counted."""
     global _loss_clamp_count
+    _check_labels(labels, len(probs))
     picked = probs[np.arange(len(labels)), labels]
     _loss_clamp_count += int((picked < LOSS_EPS).sum())
     return -np.log(np.maximum(picked, LOSS_EPS))
@@ -467,7 +485,7 @@ def backward(
     need_input_grad: bool = False,
 ) -> tuple[dict[str, dict[str, np.ndarray]], float, np.ndarray | None]:
     """Exact gradients of the mean cross-entropy of forward(x) against
-    labels (B,), w.r.t. every parameter.
+    labels (B,) in {0, 1, 2}, w.r.t. every parameter.
 
     Returns ({"stage_a": {...}, "stage_b": {...}}, mean_loss, d_input);
     d_input is None unless requested. Pass an rng to draw dropout masks
@@ -476,27 +494,28 @@ def backward(
     """
     cfg = model.config
     _check_input(cfg, x)
-    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng, keep_cache=True)
-    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, keep_cache=True)
-    pa, pb = _softmax2(la), _softmax2(lb)
-    losses = cross_entropy(compose_probs(pa, pb), labels)
+    _check_labels(labels, len(x))
     b = x.shape[0]
     is_target = labels > 0
+    rows = np.flatnonzero(is_target)
+    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng, keep_cache=True)
+    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, keep_cache=True, rows=rows)
+    pa, pb = _softmax2(la), _softmax2(lb)
+    losses = cross_entropy(compose_probs(pa, pb), labels)
 
     onehot_a = np.zeros_like(pa)
     onehot_a[np.arange(b), is_target.astype(int)] = 1.0
     dla = (pa - onehot_a) / b
 
     dlb = np.zeros_like(pb)
-    if is_target.any():
-        rows = np.flatnonzero(is_target)
-        onehot_b = np.zeros((len(rows), 2))
-        onehot_b[np.arange(len(rows)), labels[rows] - 1] = 1.0
-        dlb[rows] = (pb[rows] - onehot_b) / b
+    onehot_b = np.zeros((len(rows), 2))
+    onehot_b[np.arange(len(rows)), labels[rows] - 1] = 1.0
+    dlb[rows] = (pb[rows] - onehot_b) / b
 
-    grads_a, dx_a = _stage_backward(model.stage_a, cfg, cache_a, dla, need_input_grad)
+    grads_a, dx = _stage_backward(model.stage_a, cfg, cache_a, dla, need_input_grad)
     grads_b, dx_b = _stage_backward(model.stage_b, cfg, cache_b, dlb, need_input_grad)
-    dx = dx_a + dx_b if need_input_grad else None
+    if need_input_grad:
+        dx[rows] += dx_b
     return {"stage_a": grads_a, "stage_b": grads_b}, float(losses.mean()), dx
 
 

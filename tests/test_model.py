@@ -43,6 +43,7 @@ from eegtd.model import (
     _maxpool_backward,
     _maxpool_values,
     _softmax2,
+    _stage_backward,
     _stage_forward,
 )
 
@@ -117,6 +118,26 @@ class TestLoss:
         assert value == pytest.approx(-np.log(1e-12))
         assert loss_clamp_count() == 1
         reset_loss_clamp_count()
+
+
+class TestLabelValidation:
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 1, -1]),
+        np.array([0, 3, 1]),
+        np.array([0, 1]),
+        np.array([0, 1, 2, 0]),
+        np.array([[0, 1, 2]]),
+        np.array([0.0, 1.0, 2.0]),
+        [0, 1, 2],
+    ], ids=["negative", "above-2", "short", "long", "2-d", "float", "list"])
+    def test_bad_labels_rejected(self, tiny_model, labels):
+        # A -1 label used to train silently: stage A read it as non-target
+        # while the loss picked class 2.
+        x = standardize(np.random.default_rng(0).standard_normal((3, 3, 20)))
+        with pytest.raises(ValueError, match="labels"):
+            backward(tiny_model, x, labels)
+        with pytest.raises(ValueError, match="labels"):
+            cross_entropy(forward(tiny_model, x), labels)
 
 
 class TestStandardize:
@@ -328,7 +349,7 @@ class TestDefaultConfigReference:
     """The default NetConfig (32 x 250, K=10, blocks (8, 16)) against the
     sliding-window reference; the finite-difference tests cover only TINY."""
 
-    @pytest.mark.parametrize("labels", [[2], [0, 1, 2, 1, 0]])
+    @pytest.mark.parametrize("labels", [[2], [0, 1, 2, 1, 0], [0, 0], [0, 2, 0, 0]])
     def test_backward_matches_reference(self, labels):
         cfg = NetConfig()
         model = init_model(cfg, seed=4)
@@ -390,6 +411,56 @@ class TestDefaultConfigReference:
         for stage_name, ref in (("stage_a", ref_a), ("stage_b", ref_b)):
             for name, value in ref.items():
                 assert_close(grads[stage_name][name], value, f"{stage_name}.{name}")
+
+
+def mixed_labels(b, n_target, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(b, dtype=np.int64)
+    labels[rng.choice(b, n_target, replace=False)] = rng.integers(1, 3, n_target)
+    return labels
+
+
+class TestStageBTargetRows:
+    """backward runs stage B's conv layers on the target rows alone. Its
+    results must be the whole-batch computation's, bit for bit: both stages
+    run on every row, with zero stage-B loss gradient on non-target rows."""
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("labels", [
+        mixed_labels(8, 0, seed=0),
+        mixed_labels(8, 1, seed=1),
+        mixed_labels(8, 2, seed=2),
+        mixed_labels(64, 14, seed=3),
+    ], ids=["0-targets", "1-target", "2-targets", "14-of-64"])
+    def test_equals_whole_batch_bit_for_bit(self, labels, dropout):
+        cfg = NetConfig()
+        assert cfg.dropout_rate > 0
+        model = init_model(cfg, seed=4)
+        b = len(labels)
+        x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
+        rng = np.random.default_rng(5) if dropout else None
+        grads, mean_loss, dx = backward(model, x, labels, rng, need_input_grad=True)
+
+        ref_rng = np.random.default_rng(5) if dropout else None
+        target = labels > 0
+        la, cache_a = _stage_forward(model.stage_a, cfg, x, ref_rng, keep_cache=True)
+        lb, cache_b = _stage_forward(model.stage_b, cfg, x, ref_rng, keep_cache=True)
+        pa, pb = _softmax2(la), _softmax2(lb)
+        dla = (pa - np.eye(2)[target.astype(int)]) / b
+        dlb = np.where(target[:, None], pb - np.eye(2)[np.maximum(labels - 1, 0)], 0.0) / b
+        ref_a, dx_a = _stage_backward(model.stage_a, cfg, cache_a, dla, need_input_grad=True)
+        ref_b, dx_b = _stage_backward(model.stage_b, cfg, cache_b, dlb, need_input_grad=True)
+
+        ref_loss = cross_entropy(compose_probs(pa, pb), labels).mean()
+        assert mean_loss == ref_loss
+        for stage_name, ref in (("stage_a", ref_a), ("stage_b", ref_b)):
+            assert grads[stage_name].keys() == ref.keys()
+            for name, value in ref.items():
+                assert np.array_equal(grads[stage_name][name], value), f"{stage_name}.{name}"
+        assert np.array_equal(dx, dx_a + dx_b)
+        if dropout:
+            # Stage B drew every mask at the whole batch's shape.
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestKernels:
