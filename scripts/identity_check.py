@@ -3,18 +3,24 @@
 
 With BLAS pinned to one thread, this
 - runs the clean-stimulus (A1) recipe on 2 training sessions with an
-  unpaced stream, at 3 and at 30 training epochs, and hashes its
-  model.hmdl, loss_trace.csv and detections.csv;
+  unpaced stream, at 3 and at 30 training epochs, and hashes its rendered
+  test session (test.eegr, test.schedule.csv), model.hmdl, loss_trace.csv
+  and detections.csv;
 - trains the 2-session confounded (video2n) model for 30 epochs, hashes it
-  and, on a held-out video2n session, hashes the evaluate_epochs result, the
-  occlusion importances and the gradient saliency.
+  and, on a held-out video2n session, hashes that session's recording, the
+  evaluate_epochs result, the occlusion importances and the gradient
+  saliency.
+
+The rendered inputs are hashed so that a change to the synthetic EEG shows
+at its source, not only in what is trained or detected from it.
 
 Every hashed output is kept under --out-dir. Pass --against with the
 --out-dir of another tree's run to compare: each file whose sum differs is
 reported with the size of the difference (detections.csv by time and class,
-arrays and model parameters by their largest relative difference), and the
-exit status is 1 if any output differs, 0 if none does. The last line is
-the process's peak RSS, for information only: --against does not compare it.
+arrays, recordings and model parameters by their largest relative
+difference), and the exit status is 1 if any output differs, 0 if none
+does. The last line is the process's peak RSS, for information only:
+--against does not compare it.
 
 Usage:
     PYTHONPATH=src python scripts/identity_check.py --out-dir ids-new \\
@@ -38,6 +44,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from eegtd.analysis import evaluate_epochs, gradient_saliency, occlusion_saliency  # noqa: E402
+from eegtd.core import load_recording, save_recording  # noqa: E402
 from eegtd.dataset import DatasetConfig, build_eval_dataset  # noqa: E402
 from eegtd.experiment import (  # noqa: E402
     clean_stimulus_config,
@@ -65,7 +72,8 @@ def run_a1(out: Path) -> list[Path]:
         )
         workdir = out / f"a1-{epochs}"
         run_detection_experiment(cfg, workdir)
-        files += [workdir / n for n in ("model.hmdl", "loss_trace.csv", "detections.csv")]
+        files += [workdir / n for n in ("test.eegr", "test.schedule.csv", "model.hmdl",
+                                        "loss_trace.csv", "detections.csv")]
     return files
 
 
@@ -79,6 +87,7 @@ def run_saliency(out: Path) -> list[Path]:
     epochs = build_eval_dataset(rec, schedule, DatasetConfig(), seed=SEED)
     workdir = out / "saliency"
     workdir.mkdir(parents=True, exist_ok=True)
+    save_recording(rec, workdir / "test.eegr")
     with open(workdir / "model.hmdl", "wb") as fh:
         save_model(model, fh)
     score, cm = evaluate_epochs(model, epochs, MetricConfig())
@@ -87,7 +96,8 @@ def run_saliency(out: Path) -> list[Path]:
     np.save(workdir / "occlusion.npy", np.append(occ.importance, occ.baseline_score))
     np.save(workdir / "gradient.npy", gradient_saliency(model, epochs))
     return [workdir / n
-            for n in ("model.hmdl", "evaluate.txt", "occlusion.npy", "gradient.npy")]
+            for n in ("test.eegr", "model.hmdl", "evaluate.txt", "occlusion.npy",
+                      "gradient.npy")]
 
 
 def sha256(path: Path) -> str:
@@ -102,8 +112,10 @@ def model_params(path: Path) -> np.ndarray:
 
 
 def describe_difference(new: Path, old: Path) -> str:
-    if new.suffix in (".npy", ".hmdl"):
-        load = np.load if new.suffix == ".npy" else model_params
+    loaders = {".npy": np.load, ".hmdl": model_params,
+               ".eegr": lambda p: load_recording(p).samples.astype(np.float64)}
+    if new.suffix in loaders:
+        load = loaders[new.suffix]
         a, b = load(new), load(old)
         rel = np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
         return f"max relative difference {rel:.3g}"

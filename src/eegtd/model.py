@@ -687,5 +687,7 @@ def load_model(source: BinaryIO) -> HierarchicalModel:
             count = math.prod(shape)
             blob = read_exact(source, 8 * count, f"{stage_name}.{name}")
             params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(params[name]).all():
+                raise FormatError(f"non-finite value in {stage_name}.{name}")
         stages.append(StageNet(params))
     return HierarchicalModel(stages[0], stages[1], cfg)

@@ -42,6 +42,17 @@ def subprocess_env() -> dict[str, str]:
     return env
 
 
+def test_importing_eegtd_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy.signal alone took about a
+    # second of every process's start.
+    code = ("import sys, eegtd.cli, eegtd.experiment, eegtd.analysis, eegtd.stream; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env(), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestGenerate:
     def test_emits_readable_files(self, tmp_path, capsys):
         prefix = tmp_path / "v2n"

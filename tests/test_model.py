@@ -774,6 +774,20 @@ class TestSerialization:
         with pytest.raises(FormatError, match="truncated"):
             load_model(io.BytesIO(data))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stage, name", [("stage_a", "w_time"), ("stage_b", "b_out")])
+    def test_non_finite_parameter_rejected(self, tiny_model, stage, name, value):
+        buf = io.BytesIO()
+        save_model(tiny_model, buf)
+        buf.seek(0)
+        broken = load_model(buf)
+        getattr(broken, stage).params[name].flat[0] = value
+        buf = io.BytesIO()
+        save_model(broken, buf)
+        buf.seek(0)
+        with pytest.raises(FormatError, match=f"non-finite value in {stage}.{name}"):
+            load_model(buf)
+
     def test_parameter_counts_closed_form(self):
         shapes = dict(param_shapes(TINY))
         assert shapes["w_time"] == (2, 3)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import eegtd.synth as synth
 from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Event, EventSchedule
 from eegtd.montage import CHANNEL_NAMES, spatial_weights
 from eegtd.synth import (
+    AR_BLOCK_LEN,
     BACKGROUND_AR_COEFF,
     CONFOUND_PEAK,
     N_SHARED_NOISE_MODES,
@@ -26,8 +28,49 @@ from eegtd.synth import (
     profile_by_name,
     render_eeg,
     rotation_burst,
+    _ar1_filter,
     _shared_noise_mixing,
 )
+
+AR_SCALE = math.sqrt(1.0 - BACKGROUND_AR_COEFF**2)
+
+
+def lfilter_background(x):
+    return lfilter([AR_SCALE], [1.0, -BACKGROUND_AR_COEFF], x, axis=1)
+
+
+class TestAr1Filter:
+    """The numpy recurrence gives lfilter's bytes, zero signs included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "n", [1, AR_BLOCK_LEN - 1, AR_BLOCK_LEN, AR_BLOCK_LEN + 1, 75_000, 120_000]
+    )
+    @pytest.mark.parametrize("rows", [N_SHARED_NOISE_MODES, len(CHANNEL_NAMES)])
+    def test_matches_lfilter_bytes(self, rows, n, seed):
+        x = np.random.default_rng(seed).standard_normal((rows, n))
+        want = lfilter_background(x)
+        got = _ar1_filter(x.copy(), BACKGROUND_AR_COEFF, AR_SCALE)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_wrong_start_guesses_are_corrected(self, monkeypatch, seed):
+        # With no warm-up every block after the first starts from a zero
+        # guess, so only the correction loop can make the result exact.
+        runs = []
+        run = synth._ar1_run
+
+        def counted_run(*args):
+            runs.append(1)
+            return run(*args)
+
+        monkeypatch.setattr(synth, "AR_WARMUP_LEN", 0)
+        monkeypatch.setattr(synth, "_ar1_run", counted_run)
+        rows = N_SHARED_NOISE_MODES + len(CHANNEL_NAMES)
+        x = np.random.default_rng(seed).standard_normal((rows, 10 * AR_BLOCK_LEN + 7))
+        got = _ar1_filter(x.copy(), BACKGROUND_AR_COEFF, AR_SCALE)
+        assert got.tobytes() == lfilter_background(x).tobytes()
+        assert len(runs) > 2  # the warm-up, the first pass, and re-runs
 
 
 class TestProfiles:
@@ -190,7 +233,8 @@ class TestRenderEeg:
 
 
 def out_of_place_render(schedule, cfg):
-    """The renderer's formula with a separate background array, as an oracle."""
+    """The renderer's formula with a separate background array and
+    scipy's lfilter, as an oracle."""
     labels = list(CHANNEL_NAMES)
     n = schedule.total_samples
     x = np.zeros((len(labels), n), dtype=np.float64)
