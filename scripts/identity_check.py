@@ -5,14 +5,18 @@ With BLAS pinned to one thread, this
 - runs the clean-stimulus (A1) recipe on 2 training sessions with an
   unpaced stream, at 3 and at 30 training epochs, and hashes its rendered
   test session (test.eegr, test.schedule.csv), model.hmdl, loss_trace.csv
-  and detections.csv;
+  and detections.csv; for the 3-epoch run it also hashes session.esp, the
+  bytes a ReplayServer sends for that test session (unpaced, 40 ms
+  chunks), as a raw client reads them to EOF;
 - trains the 2-session confounded (video2n) model for 30 epochs, hashes it
   and, on a held-out video2n session, hashes that session's recording, the
   evaluate_epochs result, the occlusion importances and the gradient
   saliency.
 
 The rendered inputs are hashed so that a change to the synthetic EEG shows
-at its source, not only in what is trained or detected from it.
+at its source, not only in what is trained or detected from it. With the
+recordings, the models and the session, all three binary formats (EEGR,
+HMDL, ESP) are covered.
 
 Every hashed output is kept under --out-dir. Pass --against with the
 --out-dir of another tree's run to compare: each file whose sum differs is
@@ -38,13 +42,14 @@ import hashlib  # noqa: E402
 import logging  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
+import socket  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from eegtd.analysis import evaluate_epochs, gradient_saliency, occlusion_saliency  # noqa: E402
-from eegtd.core import load_recording, save_recording  # noqa: E402
+from eegtd.core import load_recording, load_schedule, save_recording  # noqa: E402
 from eegtd.dataset import DatasetConfig, build_eval_dataset  # noqa: E402
 from eegtd.experiment import (  # noqa: E402
     clean_stimulus_config,
@@ -56,6 +61,7 @@ from eegtd.experiment import (  # noqa: E402
 from eegtd.metrics import MetricConfig  # noqa: E402
 from eegtd.model import load_model, save_model  # noqa: E402
 from eegtd.seeding import child_seed  # noqa: E402
+from eegtd.stream import ReplayServer  # noqa: E402
 
 SEED = 7
 TRAIN_SESSIONS = 2
@@ -74,7 +80,28 @@ def run_a1(out: Path) -> list[Path]:
         run_detection_experiment(cfg, workdir)
         files += [workdir / n for n in ("test.eegr", "test.schedule.csv", "model.hmdl",
                                         "loss_trace.csv", "detections.csv")]
+        if epochs == A1_EPOCHS[0]:
+            files.append(capture_session(workdir))
     return files
+
+
+def capture_session(workdir: Path) -> Path:
+    """Write to workdir/session.esp the bytes a ReplayServer sends for the
+    test session there, unpaced in 40 ms chunks, read to EOF."""
+    server = ReplayServer(
+        load_recording(workdir / "test.eegr"), load_schedule(workdir / "test.schedule.csv"),
+        chunk_ms=40.0, speed=float("inf"),
+    )
+    chunks = []
+    with server:
+        thread = server.serve_in_thread()
+        with socket.create_connection((server.host, server.port), timeout=60.0) as sock:
+            while chunk := sock.recv(1 << 16):
+                chunks.append(chunk)
+        thread.join(60.0)
+    path = workdir / "session.esp"
+    path.write_bytes(b"".join(chunks))
+    return path
 
 
 def run_saliency(out: Path) -> list[Path]:

@@ -18,6 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from eegtd import __version__
+from eegtd.analysis import (
+    CLASS_NAMES, grand_average_erp, gradient_saliency, occlusion_saliency, write_erp_csv,
+    write_saliency_csv,
+)
 from eegtd.core import (
     FormatError,
     load_recording,
@@ -29,6 +33,7 @@ from eegtd.dataset import DatasetConfig, build_dataset, build_eval_dataset
 from eegtd.experiment import render_session
 from eegtd.metrics import (
     DEFAULT_MATCH_TOLERANCE,
+    ConfusionMatrix,
     FBetaForm,
     MetricConfig,
     f_beta,
@@ -41,20 +46,26 @@ from eegtd.metrics import (
 from eegtd.model import (
     NetConfig,
     TrainConfig,
+    backward,
     calibrate,
+    cross_entropy,
+    forward,
     init_model,
     load_model,
     save_model,
+    standardize,
     train,
     write_loss_trace,
 )
+from eegtd.montage import write_layout_csv
 from eegtd.seeding import child_seed
-from eegtd.stream import OnlineConfig, ProtocolError, ReplayServer, stream_online_inference
+from eegtd.stream import (
+    DataMessage, EspStreamReader, OnlineConfig, ProtocolError, ReplayServer, StartMessage,
+    StopMessage, encode_message, stream_online_inference,
+)
 from eegtd.synth import SynthConfig, profile_by_name
 
 log = logging.getLogger("eegtd.cli")
-
-CLASS_LABELS = ("NonTarget", "TrueTarget", "ErrorTarget")
 
 
 def _setup_logging(level: str) -> None:
@@ -235,7 +246,7 @@ def cmd_evaluate(args) -> int:
     for c in range(3):
         precision, recall = precision_recall(cm, c)
         print(
-            f"class {CLASS_LABELS[c]} precision={precision:.6f} "
+            f"class {CLASS_NAMES[c]} precision={precision:.6f} "
             f"recall={recall:.6f} f_beta={f_beta(precision, recall, cfg):.6f}"
         )
     print(f"macro_f_beta {macro_f_beta(cm, cfg):.6f}")
@@ -243,8 +254,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_analyze_erp(args) -> int:
-    from eegtd.analysis import grand_average_erp, write_erp_csv
-
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
     channels = [c.strip() for c in args.channels.split(",") if c.strip()]
@@ -265,9 +274,6 @@ def cmd_analyze_erp(args) -> int:
 
 
 def cmd_analyze_saliency(args) -> int:
-    from eegtd.analysis import gradient_saliency, occlusion_saliency, write_saliency_csv
-    from eegtd.montage import write_layout_csv
-
     with open(args.model, "rb") as fh:
         model = load_model(fh)
     recording = load_recording(args.recording)
@@ -292,8 +298,6 @@ def cmd_analyze_saliency(args) -> int:
 
 
 def _selftest_metrics() -> bool:
-    from eegtd.metrics import ConfusionMatrix
-
     rng = np.random.default_rng(1234)
     for _ in range(1000):
         counts = rng.integers(0, 40, size=(3, 3))
@@ -318,8 +322,6 @@ def _selftest_metrics() -> bool:
 
 
 def _selftest_gradients() -> bool:
-    from eegtd.model import backward, cross_entropy, forward, standardize
-
     cfg = NetConfig(
         n_channels=3, window_len=20, temporal_filters=2, deep_filters=(2,),
         kernel_len=3, pool_len=2, dropout_rate=0.0, dense_hidden=4,
@@ -350,17 +352,9 @@ def _selftest_gradients() -> bool:
 
 
 def _selftest_protocol() -> bool:
-    from eegtd.stream import (
-        DataMessage,
-        EspStreamReader,
-        StartMessage,
-        StopMessage,
-        encode_message,
-    )
-
     frames = np.arange(12, dtype=np.float32).reshape(4, 3)
     messages = [
-        StartMessage(250.0, 3, ("a", "b", "c")),
+        StartMessage(250.0, ("a", "b", "c")),
         DataMessage(0, frames, [(2, 1)]),
         DataMessage(1, frames + 1),
         StopMessage(8),

@@ -6,6 +6,10 @@ EEGR layout (little-endian throughout):
     n_samples u64 | per channel: name_len u16 + UTF-8 name |
     samples as f32, sample-major (all channels of t0, then t1, ...)
 
+The channel-name rule (a u16 byte length, then the UTF-8 bytes, so at most
+65,535 bytes a name) lives in `pack_names` and `read_names`; the ESP Start
+message packs its names with the same pair.
+
 Schedule CSV: one metadata comment line, then header ``onset,class,duration``.
 Target rows use class 1 (true target) or 2 (error target); dynamics rows use
 100 (camera rotation) or 101 (weather shift).
@@ -17,7 +21,7 @@ import csv
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
@@ -25,6 +29,8 @@ EEGR_MAGIC = b"EEGR"
 EEGR_VERSION = 1
 # version, sampling_rate, n_channels, n_samples (after the magic).
 EEGR_HEADER = struct.Struct("<IdIQ")
+# Byte length that precedes each UTF-8 channel name.
+NAME_LEN = struct.Struct("<H")
 
 ROTATION_CSV_CODE = 100
 WEATHER_CSV_CODE = 101
@@ -204,17 +210,36 @@ def read_exact(source: BinaryIO, n: int, what: str) -> bytes:
     return b"".join(parts)
 
 
+def pack_names(names: Sequence[str]) -> bytes:
+    """Each name as its u16 byte length and UTF-8 bytes; ValueError, before
+    any name is packed, if one exceeds 65,535 bytes."""
+    encoded = [name.encode("utf-8") for name in names]
+    for i, raw in enumerate(encoded):
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"channel name {i} is {len(raw)} bytes, limit 65535")
+    return b"".join(NAME_LEN.pack(len(raw)) + raw for raw in encoded)
+
+
+def read_names(source: BinaryIO, n: int) -> list[str]:
+    """The next n names packed by `pack_names`; FormatError if `source`
+    ends first or a name is not UTF-8."""
+    names = []
+    for i in range(n):
+        (length,) = NAME_LEN.unpack(read_exact(source, NAME_LEN.size, f"name length {i}"))
+        raw = read_exact(source, length, f"channel name {i}")
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"channel name {i} is not valid UTF-8") from exc
+    return names
+
+
 def write_recording(rec: Recording, destination: BinaryIO) -> int:
     """Serialize `rec` as EEGR; returns the number of bytes written."""
     header = EEGR_MAGIC + EEGR_HEADER.pack(
         EEGR_VERSION, rec.sampling_rate, rec.n_channels, rec.n_samples
     )
-    written = destination.write(header)
-    for name in rec.channel_names:
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"channel name too long: {name!r}")
-        written += destination.write(struct.pack("<H", len(encoded)) + encoded)
+    written = destination.write(header + pack_names(rec.channel_names))
     payload = np.ascontiguousarray(rec.samples.T, dtype="<f4").tobytes()
     written += destination.write(payload)
     return written
@@ -234,14 +259,7 @@ def read_recording(source: BinaryIO) -> Recording:
         raise FormatError(f"invalid sampling rate {rate}")
     if n_channels == 0:
         raise FormatError("recording declares zero channels")
-    names = []
-    for i in range(n_channels):
-        (name_len,) = struct.unpack("<H", read_exact(source, 2, f"name length {i}"))
-        raw = read_exact(source, name_len, f"channel name {i}")
-        try:
-            names.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"channel name {i} is not valid UTF-8") from exc
+    names = read_names(source, n_channels)
     payload = read_exact(source, 4 * n_channels * n_samples, "sample payload")
     samples = (
         np.frombuffer(payload, dtype="<f4").reshape(n_samples, n_channels).T.copy()

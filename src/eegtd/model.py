@@ -46,8 +46,13 @@ from eegtd.seeding import child_seed
 
 HMDL_MAGIC = b"HMDL"
 HMDL_VERSION = 1
-# version, n_channels, window_len, temporal_filters, kernel_len, pool_len,
-# dense_hidden, dropout_rate, n_blocks (after the magic).
+# NetConfig's scalar fields in HMDL header order.
+HMDL_FIELDS = (
+    "n_channels", "window_len", "temporal_filters", "kernel_len", "pool_len",
+    "dense_hidden", "dropout_rate",
+)
+# version, the HMDL_FIELDS, n_blocks (after the magic); the n_blocks
+# deep_filters counts follow as u32.
 HMDL_HEADER = struct.Struct("<IIIIIIIdI")
 LOSS_EPS = 1e-12
 # Windows per forward pass in predict_batch; bounds its activation memory.
@@ -636,17 +641,8 @@ def write_loss_trace(trace: list[float], destination) -> None:
 def save_model(model: HierarchicalModel, destination: BinaryIO) -> int:
     """HMDL format: magic, version, config fields, then f64 parameter blobs."""
     cfg = model.config
-    head = HMDL_MAGIC + HMDL_HEADER.pack(
-        HMDL_VERSION,
-        cfg.n_channels,
-        cfg.window_len,
-        cfg.temporal_filters,
-        cfg.kernel_len,
-        cfg.pool_len,
-        cfg.dense_hidden,
-        cfg.dropout_rate,
-        len(cfg.deep_filters),
-    )
+    fields = [getattr(cfg, name) for name in HMDL_FIELDS]
+    head = HMDL_MAGIC + HMDL_HEADER.pack(HMDL_VERSION, *fields, len(cfg.deep_filters))
     head += struct.pack(f"<{len(cfg.deep_filters)}I", *cfg.deep_filters)
     written = destination.write(head)
     for _, _, value in _iter_params(model):
@@ -658,8 +654,7 @@ def load_model(source: BinaryIO) -> HierarchicalModel:
     magic = read_exact(source, 4, "magic")
     if magic != HMDL_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {HMDL_MAGIC!r}")
-    (version, n_channels, window_len, temporal_filters, kernel_len, pool_len,
-     dense_hidden, dropout_rate, n_blocks) = HMDL_HEADER.unpack(
+    version, *fields, n_blocks = HMDL_HEADER.unpack(
         read_exact(source, HMDL_HEADER.size, "header")
     )
     if version != HMDL_VERSION:
@@ -668,16 +663,7 @@ def load_model(source: BinaryIO) -> HierarchicalModel:
         f"<{n_blocks}I", read_exact(source, 4 * n_blocks, "deep filters")
     )
     try:
-        cfg = NetConfig(
-            n_channels=n_channels,
-            window_len=window_len,
-            temporal_filters=temporal_filters,
-            deep_filters=deep,
-            kernel_len=kernel_len,
-            pool_len=pool_len,
-            dropout_rate=dropout_rate,
-            dense_hidden=dense_hidden,
-        )
+        cfg = NetConfig(deep_filters=deep, **dict(zip(HMDL_FIELDS, fields)))
     except ValueError as exc:
         raise FormatError(f"invalid model config: {exc}") from exc
     stages = []

@@ -12,14 +12,17 @@ backlog; once it is full, the server's `sendall` blocks, so no frame is
 dropped.
 
 ESP framing (little-endian): magic "ESP1" | type u32 (1=Start, 2=Data,
-3=Stop) | payload_len u64 | payload. Start carries rate and channel names;
-Data carries a strictly increasing block index, sample-major f32 frames,
-and (frame_offset, class_code) markers; Stop carries the total sample
-count. Transport is any reliable ordered byte stream (TCP here).
+3=Stop) | payload_len u64 | payload. Start carries the rate f64, the
+channel count u32 and the channel names, packed by `core.pack_names` as in
+EEGR; a `StartMessage` derives its channel count from its names. Data
+carries a strictly increasing block index, sample-major f32 frames, and
+(frame_offset, class_code) markers; Stop carries the total sample count.
+Transport is any reliable ordered byte stream (TCP here).
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import socket
@@ -32,7 +35,9 @@ from typing import Callable, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eegtd.core import KIND_TO_CSV, ClassId, EventSchedule, Recording
+from eegtd.core import (
+    KIND_TO_CSV, ClassId, EventSchedule, FormatError, Recording, pack_names, read_names,
+)
 from eegtd.dataset import check_same_length
 from eegtd.metrics import Detection
 from eegtd.model import HierarchicalModel, predict_batch, standardize
@@ -68,8 +73,11 @@ class ConnectionLost(ProtocolError):
 @dataclass(frozen=True)
 class StartMessage:
     sampling_rate: float
-    n_channels: int
     channel_names: tuple[str, ...]
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channel_names)
 
 
 @dataclass
@@ -103,9 +111,7 @@ EspMessage = Union[StartMessage, DataMessage, StopMessage]
 def encode_message(msg: EspMessage) -> bytes:
     if isinstance(msg, StartMessage):
         payload = struct.pack("<dI", msg.sampling_rate, msg.n_channels)
-        for name in msg.channel_names:
-            raw = name.encode("utf-8")
-            payload += struct.pack("<H", len(raw)) + raw
+        payload += pack_names(msg.channel_names)
         mtype = MSG_START
     elif isinstance(msg, DataMessage):
         frames = np.ascontiguousarray(msg.frames, dtype="<f4")
@@ -133,25 +139,16 @@ def _decode_start(payload: bytes) -> StartMessage:
         raise ProtocolError(
             f"Start declares {n_channels} channels, expected 1 to {MAX_CHANNELS}"
         )
-    pos = 12
-    names = []
-    for i in range(n_channels):
-        if pos + 2 > len(payload):
-            raise ProtocolError(f"Start payload truncated at channel {i}")
-        (name_len,) = struct.unpack_from("<H", payload, pos)
-        pos += 2
-        if pos + name_len > len(payload):
-            raise ProtocolError(f"Start payload truncated in channel name {i}")
-        try:
-            names.append(payload[pos : pos + name_len].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ProtocolError(f"channel name {i} is not UTF-8") from None
-        pos += name_len
-    if pos != len(payload):
+    body = io.BytesIO(payload[12:])
+    try:
+        names = read_names(body, n_channels)
+    except FormatError as exc:
+        raise ProtocolError(f"Start payload: {exc}") from None
+    if body.read(1):
         raise ProtocolError("Start payload has trailing bytes")
     if not rate > 0 or not math.isfinite(rate):
         raise ProtocolError(f"invalid sampling rate {rate}")
-    return StartMessage(rate, n_channels, tuple(names))
+    return StartMessage(rate, tuple(names))
 
 
 def _decode_data(payload: bytes, n_channels: int) -> DataMessage:
@@ -195,7 +192,9 @@ def _decode_stop(payload: bytes) -> StopMessage:
 class EspStreamReader:
     """Byte-fed ESP decoder enforcing message order, block continuity and
     the payload limits: `feed` takes the bytes as they arrive and returns
-    the messages they complete."""
+    the messages they complete. A header's magic, order and payload limit
+    are checked as soon as its 16 bytes arrive, before any of its payload
+    is waited for."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -222,16 +221,24 @@ class EspStreamReader:
         self._buf += data
         messages: list[EspMessage] = []
         while not self._stopped and len(self._buf) >= 16:
-            mtype, length = self._check_header()
-            if len(self._buf) < 16 + length:
-                break
-            payload = self._buf[16 : 16 + length]
-            del self._buf[: 16 + length]
+            magic, mtype, length = struct.unpack_from("<4sIQ", self._buf)
+            if magic != ESP_MAGIC:
+                raise ProtocolError(f"bad magic {magic!r}")
             if mtype == MSG_START:
+                if self._started:
+                    raise ProtocolError("duplicate Start message")
+                if (payload := self._take(mtype, length, MAX_START_PAYLOAD)) is None:
+                    break
                 msg = _decode_start(payload)
                 self._started = True
                 self._n_channels = msg.n_channels
             elif mtype == MSG_DATA:
+                if not self._started:
+                    raise ProtocolError("Data before Start")
+                # header, frames, marker count, up to one marker per frame
+                limit = 16 + MAX_BLOCK_FRAMES * (4 * self._n_channels + 8)
+                if (payload := self._take(mtype, length, limit)) is None:
+                    break
                 msg = _decode_data(payload, self._n_channels)
                 if msg.block_index != self._next_block:
                     raise ProtocolError(
@@ -239,39 +246,31 @@ class EspStreamReader:
                     )
                 self._next_block += 1
                 self.frames_delivered += msg.n_frames
-            else:
+            elif mtype == MSG_STOP:
+                if not self._started:
+                    raise ProtocolError("Stop before Start")
+                if (payload := self._take(mtype, length, 8)) is None:
+                    break
                 msg = _decode_stop(payload)
                 self._stopped = True
+            else:
+                raise ProtocolError(f"unknown message type {mtype}")
             messages.append(msg)
         return messages
 
-    def _check_header(self) -> tuple[int, int]:
-        """Type and payload length of the buffered header, once its magic,
-        the message order and the payload limit are checked: a malformed
-        header is rejected before any of its payload is waited for."""
-        magic, mtype, length = struct.unpack_from("<4sIQ", self._buf)
-        if magic != ESP_MAGIC:
-            raise ProtocolError(f"bad magic {magic!r}")
-        if mtype == MSG_START:
-            if self._started:
-                raise ProtocolError("duplicate Start message")
-            limit = MAX_START_PAYLOAD
-        elif mtype == MSG_DATA:
-            if not self._started:
-                raise ProtocolError("Data before Start")
-            # header, frames, marker count, up to one marker per frame
-            limit = 16 + MAX_BLOCK_FRAMES * (4 * self._n_channels + 8)
-        elif mtype == MSG_STOP:
-            if not self._started:
-                raise ProtocolError("Stop before Start")
-            limit = 8
-        else:
-            raise ProtocolError(f"unknown message type {mtype}")
+    def _take(self, mtype: int, length: int, limit: int) -> bytearray | None:
+        """The buffered message's payload, removed from the buffer, or None
+        until all of it has arrived; ProtocolError at once if `length`
+        exceeds `limit`."""
         if length > limit:
             raise ProtocolError(
                 f"message type {mtype} declares {length} payload bytes, limit {limit}"
             )
-        return mtype, length
+        if len(self._buf) < 16 + length:
+            return None
+        payload = self._buf[16 : 16 + length]
+        del self._buf[: 16 + length]
+        return payload
 
 
 def _schedule_markers(schedule: EventSchedule) -> list[tuple[int, int]]:
@@ -310,6 +309,8 @@ class ReplayServer:
         _check_port(port)
         if not speed > 0:
             raise ValueError("speed must be positive (use inf to disable pacing)")
+        if not (math.isfinite(chunk_ms) and chunk_ms > 0):
+            raise ValueError(f"chunk_ms must be finite and positive, got {chunk_ms}")
         self.chunk_frames = int(chunk_ms * recording.sampling_rate / 1000.0)
         if not 1 <= self.chunk_frames <= MAX_BLOCK_FRAMES:
             raise ValueError(
@@ -352,11 +353,7 @@ class ReplayServer:
         paced = math.isfinite(self.speed)
         try:
             conn.sendall(
-                encode_message(
-                    StartMessage(
-                        rec.sampling_rate, rec.n_channels, tuple(rec.channel_names)
-                    )
-                )
+                encode_message(StartMessage(rec.sampling_rate, tuple(rec.channel_names)))
             )
             t0 = time.monotonic()
             n_blocks = (rec.n_samples + self.chunk_frames - 1) // self.chunk_frames

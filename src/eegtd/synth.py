@@ -35,7 +35,7 @@ from eegtd.core import (
     EventSchedule,
     Recording,
 )
-from eegtd.montage import CHANNEL_NAMES, spatial_weights
+from eegtd.montage import CHANNEL_NAMES, position, spatial_weights
 
 # Placement margins so analysis baselines/horizons fit around every event.
 START_MARGIN_S = 2.0
@@ -200,8 +200,6 @@ def _shared_noise_mixing(labels: list[str]) -> np.ndarray:
     and a saddle term); each channel's weight row is normalized so the
     shared modes carry exactly SPATIAL_NOISE_FRACTION of its variance.
     """
-    from eegtd.montage import position
-
     xy = np.array([position(lab) for lab in labels])
     modes = np.stack(
         [np.ones(len(labels)), xy[:, 0], xy[:, 1], xy[:, 0] * xy[:, 1]], axis=1

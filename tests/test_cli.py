@@ -422,6 +422,21 @@ class TestInferOnlineErrors:
         assert "Traceback" not in err
 
 
+class TestServeErrors:
+    def test_serve_infinite_chunk_is_one_line(self, tmp_path, capsys):
+        save_recording(Recording(250.0, ["Cz"], np.zeros((1, 250), dtype=np.float32)),
+                       tmp_path / "r.eegr")
+        save_schedule(EventSchedule(250, 250.0, [], []), tmp_path / "s.csv")
+        code = main(["serve", "--recording", str(tmp_path / "r.eegr"),
+                     "--schedule", str(tmp_path / "s.csv"), "--port", "0",
+                     "--chunk-ms", "inf"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1
+        assert "error: chunk_ms must be finite and positive, got inf" in err
+        assert "Traceback" not in err
+
+
 class TestPortRange:
     def assert_one_line_error(self, code, capsys, port):
         err = capsys.readouterr().err

@@ -138,6 +138,21 @@ class TestEegrFormat:
         except FormatError:
             pass
 
+    def test_longest_name_round_trips(self):
+        rec = Recording(250.0, ["é" * 32767 + "x"], np.zeros((1, 3), np.float32))
+        assert len(rec.channel_names[0].encode("utf-8")) == 0xFFFF
+        buf = io.BytesIO()
+        write_recording(rec, buf)
+        buf.seek(0)
+        assert read_recording(buf).channel_names == rec.channel_names
+
+    def test_name_past_limit_rejected_before_any_byte(self):
+        rec = Recording(250.0, ["Cz", "x" * 0x10000], np.zeros((2, 3), np.float32))
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="channel name 1 is 65536 bytes, limit 65535"):
+            write_recording(rec, buf)
+        assert buf.getvalue() == b""
+
 
 class CappedReader(io.BytesIO):
     """A file that fails any single read of more than 16 MiB: a reader that

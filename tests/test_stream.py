@@ -48,10 +48,10 @@ def decode(data: bytes) -> list:
 
 
 class TestCodec:
-    START = StartMessage(250.0, 3, ("a", "b", "c"))
+    START = StartMessage(250.0, ("a", "b", "c"))
 
     def test_start_round_trip(self):
-        msg = StartMessage(250.0, 2, ("Cz", "Oz"))
+        msg = StartMessage(250.0, ("Cz", "Oz"))
         assert decode(encode_message(msg)) == [msg]
 
     def test_data_round_trip(self):
@@ -60,7 +60,7 @@ class TestCodec:
         assert decode(encode_message(self.START) + encode_message(msg)) == [self.START, msg]
 
     def test_stop_round_trip(self):
-        start = StartMessage(250.0, 1, ("a",))
+        start = StartMessage(250.0, ("a",))
         blob = encode_message(start) + encode_message(StopMessage(12345))
         reader = EspStreamReader()
         assert reader.feed(blob) == [start, StopMessage(12345)]
@@ -90,7 +90,7 @@ class TestCodec:
             reader.feed(b"")
 
     def test_block_skip_rejected(self):
-        start = StartMessage(250.0, 1, ("a",))
+        start = StartMessage(250.0, ("a",))
         frames = np.zeros((2, 1), dtype=np.float32)
         blob = (
             encode_message(start)
@@ -106,12 +106,12 @@ class TestCodec:
             decode(encode_message(DataMessage(0, frames)))
 
     def test_duplicate_start(self):
-        start = StartMessage(250.0, 1, ("a",))
+        start = StartMessage(250.0, ("a",))
         with pytest.raises(ProtocolError, match="duplicate"):
             decode(encode_message(start) * 2)
 
     def test_marker_outside_block(self):
-        start = StartMessage(250.0, 1, ("a",))
+        start = StartMessage(250.0, ("a",))
         frames = np.zeros((2, 1), dtype=np.float32)
         blob = encode_message(start) + encode_message(DataMessage(0, frames, [(5, 1)]))
         with pytest.raises(ProtocolError, match="marker"):
@@ -129,7 +129,7 @@ class TestCodec:
 
 
 class TestPayloadBounds:
-    START = encode_message(StartMessage(250.0, 2, ("a", "b")))
+    START = encode_message(StartMessage(250.0, ("a", "b")))
     DATA_BOUND = 16 + MAX_BLOCK_FRAMES * (4 * 2 + 8)
 
     @pytest.mark.parametrize("mtype, length, ceiling", [
@@ -154,7 +154,51 @@ class TestPayloadBounds:
 
     def test_zero_channel_start_rejected(self):
         with pytest.raises(ProtocolError, match="0 channels"):
-            decode(encode_message(StartMessage(250.0, 0, ())))
+            decode(encode_message(StartMessage(250.0, ())))
+
+
+def start_frame(payload: bytes) -> bytes:
+    """A Start message carrying `payload` as is."""
+    return b"ESP1" + struct.pack("<IQ", 1, len(payload)) + payload
+
+
+class TestStartMessage:
+    def test_channel_count_is_the_names(self):
+        msg = StartMessage(250.0, ("Cz", "Oz", "Pz"))
+        assert msg.n_channels == 3
+        assert encode_message(msg)[24:28] == struct.pack("<I", 3)
+
+    def test_longest_name_round_trips(self):
+        msg = StartMessage(250.0, ("Cz", "é" * 32767 + "x"))
+        assert len(msg.channel_names[1].encode("utf-8")) == 0xFFFF
+        assert decode(encode_message(msg)) == [msg]
+
+    def test_name_past_limit_rejected(self):
+        with pytest.raises(ValueError, match="channel name 1 is 65536 bytes, limit 65535"):
+            encode_message(StartMessage(250.0, ("Cz", "x" * 0x10000)))
+
+    @pytest.mark.parametrize("body, message", [
+        (b"\x05", "truncated input reading name length 0"),
+        (struct.pack("<H", 5) + b"ab", "truncated input reading channel name 0"),
+        (struct.pack("<H", 2) + b"\xff\xfe", "channel name 0 is not valid UTF-8"),
+        (struct.pack("<H", 1) + b"a!", "trailing bytes"),
+    ])
+    def test_malformed_names(self, body, message):
+        with pytest.raises(ProtocolError, match=message):
+            decode(start_frame(struct.pack("<dI", 250.0, 1) + body))
+
+    @pytest.mark.parametrize("rate", [0.0, np.nan, np.inf])
+    def test_invalid_rate(self, rate):
+        with pytest.raises(ProtocolError, match="invalid sampling rate"):
+            decode(encode_message(StartMessage(rate, ("a",))))
+
+    def test_stop_before_start(self):
+        with pytest.raises(ProtocolError, match="Stop before Start"):
+            decode(encode_message(StopMessage(0)))
+
+    def test_unknown_type(self):
+        with pytest.raises(ProtocolError, match="unknown message type 9$"):
+            decode(b"ESP1" + struct.pack("<IQ", 9, 0))
 
 
 class TestRingBuffer:
@@ -283,6 +327,9 @@ class TestReplayServer:
         schedule = EventSchedule(100, 250.0, [], [])
         with pytest.raises(ValueError, match="chunk"):
             ReplayServer(rec, schedule, chunk_ms=1.0)
+        for chunk_ms in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="chunk_ms must be finite and positive"):
+                ReplayServer(rec, schedule, chunk_ms=chunk_ms)
 
     def test_client_disconnect_logged_not_raised(self):
         rec = make_recording(5000, seed=5)
@@ -343,7 +390,7 @@ def one_shot_peer(behaviour) -> tuple[tuple[str, int], threading.Thread]:
 
 
 class TestTransportErrors:
-    START = encode_message(StartMessage(250.0, 2, ("Cz", "Oz")))
+    START = encode_message(StartMessage(250.0, ("Cz", "Oz")))
     BLOCK = encode_message(DataMessage(0, np.zeros((10, 2), dtype=np.float32)))
 
     def test_reset_after_start_is_connection_lost(self):
@@ -402,7 +449,7 @@ class TestPeerClose:
         thread.join(10.0)
 
     def test_close_after_start_is_connection_lost(self):
-        start = encode_message(StartMessage(250.0, 2, ("Cz", "Oz")))
+        start = encode_message(StartMessage(250.0, ("Cz", "Oz")))
         block = encode_message(DataMessage(0, np.zeros((10, 2), dtype=np.float32)))
         endpoint, thread = one_shot_peer(lambda conn: conn.sendall(start + block))
         with pytest.raises(ConnectionLost) as info:
@@ -427,7 +474,7 @@ class TestBursts:
             for k in range(2000)
         ]
         encoded = [encode_message(msg) for msg in blocks]
-        start = encode_message(StartMessage(250.0, 2, ("Cz", "Oz")))
+        start = encode_message(StartMessage(250.0, ("Cz", "Oz")))
         stop = encode_message(StopMessage(10 * len(blocks)))
         assert sum(map(len, encoded)) > 3 * RECV_BYTES
         bursts, summary = self.receive(start + b"".join(encoded) + stop)
@@ -443,7 +490,7 @@ class TestBursts:
         block = DataMessage(0, frames.astype(np.float32), [(4095, 2)])
         encoded = encode_message(block)
         assert len(encoded) > RECV_BYTES
-        start = encode_message(StartMessage(250.0, 32, tuple(f"c{i}" for i in range(32))))
+        start = encode_message(StartMessage(250.0, tuple(f"c{i}" for i in range(32))))
         bursts, summary = self.receive(
             start + encoded + encode_message(StopMessage(MAX_BLOCK_FRAMES))
         )
@@ -696,7 +743,7 @@ def esp_streams(draw) -> bytes:
     """A valid encoded session: Start, a few small Data blocks, Stop."""
     n_channels = draw(st.integers(1, 3))
     names = tuple(draw(st.text(max_size=4)) for _ in range(n_channels))
-    parts = [encode_message(StartMessage(250.0, n_channels, names))]
+    parts = [encode_message(StartMessage(250.0, names))]
     total = 0
     for k in range(draw(st.integers(0, 3))):
         n_frames = draw(st.integers(1, 3))
