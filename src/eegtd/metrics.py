@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -60,8 +61,8 @@ class MetricConfig:
     form: FBetaForm = FBetaForm.RECALL_WEIGHTED
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
 
 
 @dataclass(frozen=True)

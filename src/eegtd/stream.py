@@ -110,8 +110,17 @@ EspMessage = Union[StartMessage, DataMessage, StopMessage]
 
 def encode_message(msg: EspMessage) -> bytes:
     if isinstance(msg, StartMessage):
+        # The reader's limits: a Start it would reject is not sent.
+        if not 1 <= msg.n_channels <= MAX_CHANNELS:
+            raise ValueError(
+                f"Start has {msg.n_channels} channels, expected 1 to {MAX_CHANNELS}"
+            )
         payload = struct.pack("<dI", msg.sampling_rate, msg.n_channels)
         payload += pack_names(msg.channel_names)
+        if len(payload) > MAX_START_PAYLOAD:
+            raise ValueError(
+                f"Start payload is {len(payload)} bytes, limit {MAX_START_PAYLOAD}"
+            )
         mtype = MSG_START
     elif isinstance(msg, DataMessage):
         frames = np.ascontiguousarray(msg.frames, dtype="<f4")
@@ -317,6 +326,11 @@ class ReplayServer:
                 f"chunk of {chunk_ms} ms holds {self.chunk_frames} frames at "
                 f"{recording.sampling_rate} Hz, expected 1 to {MAX_BLOCK_FRAMES}"
             )
+        # Encoded before binding, so a Start the client would reject fails
+        # here and not after a client connects.
+        self._start = encode_message(
+            StartMessage(recording.sampling_rate, tuple(recording.channel_names))
+        )
         self.recording = recording
         self.schedule = schedule
         self.speed = speed
@@ -352,9 +366,7 @@ class ReplayServer:
         blocks_sent = frames_sent = 0
         paced = math.isfinite(self.speed)
         try:
-            conn.sendall(
-                encode_message(StartMessage(rec.sampling_rate, tuple(rec.channel_names)))
-            )
+            conn.sendall(self._start)
             t0 = time.monotonic()
             n_blocks = (rec.n_samples + self.chunk_frames - 1) // self.chunk_frames
             for k in range(n_blocks):

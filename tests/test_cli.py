@@ -132,6 +132,15 @@ class TestEvaluate:
         _, out = run_cli(["evaluate", "--detections", det, "--schedule", sched], capsys)
         assert out.strip().splitlines()[-1].startswith("macro_f_beta ")
 
+    def test_infinite_beta_is_one_line(self, fixture_files, capsys):
+        det, sched = fixture_files
+        code = main(["evaluate", "--detections", det, "--schedule", sched, "--beta", "inf"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("error:") == 1
+        assert "error: beta must be finite and positive" in captured.err
+        assert "nan" not in captured.out
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):
@@ -435,6 +444,22 @@ class TestServeErrors:
         assert err.count("error:") == 1
         assert "error: chunk_ms must be finite and positive, got inf" in err
         assert "Traceback" not in err
+
+    def test_unreadable_start_is_one_line_before_listening(self, tmp_path):
+        # 1,025 channels: more than the client accepts. A subprocess, so a
+        # server that did listen would time out instead of hanging the suite.
+        names = [f"c{i}" for i in range(1025)]
+        save_recording(Recording(250.0, names, np.zeros((1025, 10))), tmp_path / "r.eegr")
+        save_schedule(EventSchedule(10, 250.0, [], []), tmp_path / "s.csv")
+        proc = subprocess.run(
+            [sys.executable, "-m", "eegtd.cli", "serve", "--recording",
+             str(tmp_path / "r.eegr"), "--schedule", str(tmp_path / "s.csv"), "--port", "0"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("error:") == 1
+        assert "error: Start has 1025 channels, expected 1 to 1024" in proc.stderr
+        assert "serving on" not in proc.stdout
 
 
 class TestPortRange:

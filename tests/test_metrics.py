@@ -88,6 +88,14 @@ class TestFBeta:
             assert f_beta(p, r, MetricConfig(beta=1.0, form=form)) == pytest.approx(expected)
 
 
+class TestMetricConfig:
+    @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan, 0.0])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        # beta=inf used to be accepted and score every class NaN.
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            MetricConfig(beta=beta)
+
+
 class TestPrecisionRecall:
     def test_diagonal(self):
         cm = ConfusionMatrix(np.diag([5, 3, 2]))

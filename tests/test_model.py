@@ -14,6 +14,7 @@ import eegtd
 from eegtd.core import ClassId, Epoch, FormatError
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta
 from eegtd.model import (
+    CONV_CHUNK_BYTES,
     PREDICT_CHUNK,
     STACK_CHUNK,
     HierarchicalModel,
@@ -39,6 +40,7 @@ from eegtd.model import (
     _elu,
     _elu_grad,
     _lag_conv,
+    _lag_conv_input_grad,
     _maxpool,
     _maxpool_backward,
     _maxpool_values,
@@ -463,6 +465,26 @@ class TestStageBTargetRows:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def whole_batch_lag_conv(w, x):
+    """`_lag_conv` as one whole-batch sum, lag by lag: the reference."""
+    k = w.shape[-1]
+    t1 = x.shape[-1] - k + 1
+    out = np.matmul(w[:, :, 0], x[..., :t1])
+    for kk in range(1, k):
+        out += np.matmul(w[:, :, kk], x[..., kk : kk + t1])
+    return out
+
+
+def whole_batch_lag_conv_input_grad(w, dz):
+    """`_lag_conv_input_grad` as one whole-batch sum: the reference."""
+    k = w.shape[-1]
+    t1 = dz.shape[-1]
+    dx = np.zeros((dz.shape[0], w.shape[1], t1 + k - 1), np.result_type(w, dz))
+    for kk in range(k):
+        dx[:, :, kk : kk + t1] += np.matmul(w[:, :, kk].T, dz)
+    return dx
+
+
 class TestKernels:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("length", [9, 10, 11])
@@ -483,6 +505,26 @@ class TestKernels:
                       np.inf, -np.inf])
         ref = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
         assert np.array_equal(_elu(z), ref)
+
+    # (G, C, T) of the default front end, block 0 and block 1, K = 10.
+    @pytest.mark.parametrize("g, c, t", [(8, 32, 250), (8, 8, 80), (16, 8, 23)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunked_lag_sums_equal_whole_batch_bit_for_bit(self, g, c, t, dtype):
+        rng = np.random.default_rng(g * c + t)
+        w = rng.standard_normal((g, c, 10)).astype(dtype)
+        t1 = t - 9
+        itemsize = np.dtype(dtype).itemsize
+        # r: the rows of one chunk, for the output of each kernel.
+        for kernel, reference, row_bytes, operand in [
+            (_lag_conv, whole_batch_lag_conv, g * t1 * itemsize, (c, t)),
+            (_lag_conv_input_grad, whole_batch_lag_conv_input_grad, c * t * itemsize, (g, t1)),
+        ]:
+            r = max(1, CONV_CHUNK_BYTES // row_bytes)
+            for b in sorted({0, 1, r - 1, r, r + 1, 2 * r + 3}):
+                a = rng.standard_normal((b, *operand)).astype(dtype)
+                got, expected = kernel(w, a), reference(w, a)
+                assert got.dtype == expected.dtype == dtype
+                assert np.array_equal(got, expected), (kernel.__name__, b)
 
 
 class TestEvalPath:

@@ -21,6 +21,7 @@ from eegtd.stream import (
     EspStreamReader,
     MAX_BLOCK_FRAMES,
     MAX_CHANNELS,
+    MAX_START_PAYLOAD,
     OnlineConfig,
     OnlineEngine,
     ProtocolError,
@@ -153,13 +154,50 @@ class TestPayloadBounds:
         assert block.n_frames == MAX_BLOCK_FRAMES
 
     def test_zero_channel_start_rejected(self):
+        # encode_message refuses to build it, so the frame is built by hand.
         with pytest.raises(ProtocolError, match="0 channels"):
-            decode(encode_message(StartMessage(250.0, ())))
+            decode(start_frame(struct.pack("<dI", 250.0, 0)))
 
 
 def start_frame(payload: bytes) -> bytes:
     """A Start message carrying `payload` as is."""
     return b"ESP1" + struct.pack("<IQ", 1, len(payload)) + payload
+
+
+# Channel name lists the reader rejects: too many, none, and a payload of
+# 12 + 600 * (2 + 2001) = 1,201,812 bytes, over MAX_START_PAYLOAD.
+UNREADABLE_STARTS = [
+    pytest.param([f"c{i}" for i in range(MAX_CHANNELS + 1)], "1025 channels, expected 1 to 1024",
+                 id="1025-channels"),
+    pytest.param([], "0 channels, expected 1 to 1024", id="no-channels"),
+    pytest.param([f"{i:04d}" + "x" * 1997 for i in range(600)],
+                 f"1201812 bytes, limit {MAX_START_PAYLOAD}", id="payload-over-limit"),
+]
+
+
+class TestStartLimits:
+    """The sender checks the reader's limits, from the same constants."""
+
+    @pytest.mark.parametrize("names, message", UNREADABLE_STARTS)
+    def test_encode_rejects_what_the_reader_rejects(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            encode_message(StartMessage(250.0, tuple(names)))
+
+    @pytest.mark.parametrize("names, message", UNREADABLE_STARTS)
+    def test_replay_server_rejects_before_binding(self, names, message, monkeypatch):
+        rec = Recording(250.0, names, np.zeros((len(names), 10)))
+        schedule = EventSchedule(10, 250.0, [], [])
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("socket opened")
+
+        monkeypatch.setattr(stream.socket, "socket", no_socket)
+        with pytest.raises(ValueError, match=message):
+            ReplayServer(rec, schedule)
+
+    def test_most_channels_round_trip(self):
+        msg = StartMessage(250.0, tuple(f"ch{i}" for i in range(MAX_CHANNELS)))
+        assert decode(encode_message(msg)) == [msg]
 
 
 class TestStartMessage:
