@@ -146,9 +146,11 @@ def _score_windows(
 def evaluate_epochs(
     model: HierarchicalModel, epochs: list[Epoch], cfg: MetricConfig
 ) -> tuple[float, ConfusionMatrix]:
-    """Window-level macro F_beta of the model over a labeled epoch set."""
+    """Window-level macro F_beta of the model over a labeled epoch set.
+    Scoring is float32: the standardized windows are cast once. Gradients
+    (training, `gradient_saliency`) stay float64."""
     x, y = stack_epochs(epochs)
-    return _score_windows(model, x, y, cfg)
+    return _score_windows(model, x.astype(np.float32), y, cfg)
 
 
 def occlusion_saliency(
@@ -158,8 +160,11 @@ def occlusion_saliency(
     after standardization (zero = the channel's uninformative mean). Scored
     by `predict_occluded`, which subtracts each channel's share of one linear
     front-end pass per stage and chunk; its labels are the zeroed copy's
-    except where a window's top two classes tie to ~1e-15."""
+    except where a window's top two classes tie to float32 rounding.
+    Scoring is float32, as in `evaluate_epochs`: the standardized windows
+    are cast once."""
     x, y = stack_epochs(eval_epochs)
+    x = x.astype(np.float32)
     baseline, _ = _score_windows(model, x, y, cfg)
     importance = [
         baseline - macro_f_beta(window_confusion(y, probs.argmax(axis=1)), cfg)
@@ -171,7 +176,8 @@ def occlusion_saliency(
 def gradient_saliency(
     model: HierarchicalModel, eval_epochs: list[Epoch]
 ) -> np.ndarray:
-    """Mean absolute input gradient of the loss per channel, dropout disabled."""
+    """Mean absolute input gradient of the loss per channel, dropout
+    disabled; computed in float64, like training."""
     x, y = stack_epochs(eval_epochs)
     total = np.zeros(x.shape[1])
     for lo in range(0, x.shape[0], GRADIENT_CHUNK):

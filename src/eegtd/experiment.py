@@ -4,11 +4,14 @@ stream a fresh held-out session over TCP, and score event-level macro F_beta.
 Pre-training pools epochs from several independently generated sessions of
 the same stimulus profile (the offline-subjects analog); the online test
 always runs on a session whose schedule and noise the model never saw.
+The session is replayed unpaced by default (`stream_speed` inf): the online
+engine's detections do not depend on pacing, so pacing only costs wall time.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -56,7 +59,7 @@ class ExperimentConfig:
     net: NetConfig = NetConfig()
     online: OnlineConfig = OnlineConfig()
     metric: MetricConfig = MetricConfig()
-    stream_speed: float = 16.0
+    stream_speed: float = math.inf
     chunk_ms: float = 40.0
 
 

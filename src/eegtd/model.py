@@ -25,15 +25,20 @@ number of rows, and the adds are elementwise in the same lag order.
 
 The front end is linear in the input too, so `predict_occluded` scores each
 zeroed-channel copy from one front-end pass per stage and chunk, less that
-channel's share: the zeroed copy's labels, unless two classes tie to ~1e-15.
+channel's share: the zeroed copy's labels, unless two classes tie to the
+input dtype's rounding (~1e-15 in float64, ~1e-7 in float32).
 
 The model's API takes batches of standardized windows (B, C, T); one window
 is a 1-row batch. `forward` gives the composed probabilities (B, 3),
 `cross_entropy` each row's loss, and `backward` the gradients of their mean.
-All arithmetic is float64 numpy with hand-derived reverse-mode gradients;
-`backward` is checked against central finite differences in the tests.
-Training is Adam with decoupled weight decay and is bit-deterministic
-given (seed, data, config).
+Every kernel computes in the dtype of its input: each call casts the
+parameters, which stay float64 in memory and on disk, to the windows'
+dtype, so float32 windows run float32 end to end and float64 windows give
+float64 bits. Scoring (the online engine, window evaluation and occlusion)
+passes float32 windows; training, calibration and input-gradient saliency
+pass float64. Gradients are hand-derived reverse mode; `backward` is checked
+against central finite differences in the tests. Training is Adam with
+decoupled weight decay and is bit-deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -280,7 +285,7 @@ def _maxpool_values(a: np.ndarray, p: int) -> np.ndarray:
 def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, p: int, orig_len: int) -> np.ndarray:
     """Route dout to each pool's argmax; dropped remainder samples get 0."""
     n = dout.shape[-1]
-    grad = np.zeros((*dout.shape[:-1], orig_len))
+    grad = np.zeros((*dout.shape[:-1], orig_len), dout.dtype)
     # Splitting the last axis of the trimmed slice is a view, so the scatter
     # writes into grad.
     pools = grad[..., : n * p].reshape(*dout.shape[:-1], n, p)
@@ -301,14 +306,14 @@ def compose_probs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
 
 
 def _dropout_mask(
-    cfg: NetConfig, shape: tuple[int, ...], rng: np.random.Generator | None
+    cfg: NetConfig, shape: tuple[int, ...], dtype: np.dtype, rng: np.random.Generator | None
 ) -> np.ndarray | None:
-    """Inverted-dropout mask drawn from rng; None (and no draw) in eval mode
-    or when dropout is off."""
+    """Inverted-dropout mask in the activations' dtype, drawn from rng; None
+    (and no draw) in eval mode or when dropout is off."""
     rate = cfg.dropout_rate
     if rng is None or rate == 0.0:
         return None
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 def _chunk_rows(out: np.ndarray) -> int:
@@ -368,10 +373,15 @@ def _rowwise_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], w)[:, 0]
 
 
-def _conv_layers(stage: StageNet, cfg: NetConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(kernel (G, C, K), bias (G,)) of each conv layer: the front end, then
-    each block."""
-    p = stage.params
+def _params_as(stage: StageNet, dtype: np.dtype) -> dict[str, np.ndarray]:
+    """The stage's parameters in the input's dtype; float64 ones are the
+    stored arrays, not copies."""
+    return {name: v.astype(dtype, copy=False) for name, v in stage.params.items()}
+
+
+def _conv_layers(p: dict[str, np.ndarray], cfg: NetConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(kernel (G, C, K), bias (G,)) of each conv layer of a stage's
+    parameters p: the front end, then each block."""
     # The temporal and spatial convolutions compose linearly (no activation
     # between them), so the front end is one fused kernel weff (G, C, K).
     weff = np.einsum("gfc,fk->gck", p["w_spat"], p["w_time"])
@@ -398,8 +408,8 @@ def _stage_forward(
     the conv layers run on x[rows] alone, and the dense head on every row
     with zero features elsewhere: its backward products, which BLAS rounds
     by batch shape, keep the whole batch's shape, and so do the masks."""
-    p = stage.params
-    convs = _conv_layers(stage, cfg)
+    p = _params_as(stage, x.dtype)
+    convs = _conv_layers(p, cfg)
     keep = slice(None) if rows is None else rows
     layers = [] if keep_cache else None
     h = x[keep]
@@ -410,7 +420,7 @@ def _stage_forward(
         else:
             zp, idx, orig = _maxpool(z, cfg.pool_len)
         a = _elu(zp)
-        mask = _dropout_mask(cfg, (len(x), *a.shape[1:]), rng)
+        mask = _dropout_mask(cfg, (len(x), *a.shape[1:]), x.dtype, rng)
         if mask is not None:
             mask = mask[keep]
             a *= mask
@@ -418,18 +428,18 @@ def _stage_forward(
             layers.append((h, zp, idx, orig, mask))
         h = a
 
-    flat = np.zeros((len(x), cfg.feature_len()))
+    flat = np.zeros((len(x), cfg.feature_len()), x.dtype)
     flat[keep] = h.reshape(len(h), cfg.feature_len())
     d1 = _rowwise_matmul(flat, p["w_dense"]) + p["b_dense"]
     hid = _elu(d1)
-    mask = _dropout_mask(cfg, hid.shape, rng)
+    mask = _dropout_mask(cfg, hid.shape, x.dtype, rng)
     if mask is not None:
         hid = hid * mask
     logits = _rowwise_matmul(hid, p["w_out"]) + p["b_out"]
     if layers is None:
         return logits, None
-    cache = {"convs": convs, "layers": layers, "flat": flat, "d1": d1,
-             "hid": hid, "dense_mask": mask, "rows": keep}
+    cache = {"params": p, "convs": convs, "layers": layers, "flat": flat,
+             "d1": d1, "hid": hid, "dense_mask": mask, "rows": keep}
     return logits, cache
 
 
@@ -440,8 +450,9 @@ def _stage_backward(
     dlogits: np.ndarray,
     need_input_grad: bool = False,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Parameter gradients plus (optionally) the gradient w.r.t. the input."""
-    p = stage.params
+    """Parameter gradients plus (optionally) the gradient w.r.t. the input,
+    in the forward input's dtype: the parameters are the forward's cast."""
+    p = cache["params"]
     grads: dict[str, np.ndarray] = {}
 
     grads["w_out"] = cache["hid"].T @ dlogits
@@ -479,6 +490,8 @@ def _check_input(cfg: NetConfig, x: np.ndarray) -> None:
     if x.ndim != 3 or x.shape[1:] != (cfg.n_channels, cfg.window_len):
         raise ValueError(f"input shape {x.shape} does not match "
                          f"(batch, {cfg.n_channels}, {cfg.window_len})")
+    if x.dtype not in (np.float32, np.float64):
+        raise ValueError(f"input dtype {x.dtype} is not float32 or float64")
 
 
 def forward(
@@ -544,7 +557,7 @@ def backward(
     dla = (pa - onehot_a) / b
 
     dlb = np.zeros_like(pb)
-    onehot_b = np.zeros((len(rows), 2))
+    onehot_b = np.zeros((len(rows), 2), pb.dtype)
     onehot_b[np.arange(len(rows)), labels[rows] - 1] = 1.0
     dlb[rows] = (pb[rows] - onehot_b) / b
 
@@ -559,8 +572,9 @@ def predict_batch(
     model: HierarchicalModel, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized eval-mode prediction over standardized windows (B, C, T):
-    argmax labels (ties break to the lowest index) and probabilities."""
-    probs = np.empty((x.shape[0], 3))
+    argmax labels (ties break to the lowest index) and probabilities, in
+    the windows' dtype."""
+    probs = np.empty((x.shape[0], 3), x.dtype)
     for lo in range(0, x.shape[0], PREDICT_CHUNK):
         chunk = x[lo : lo + PREDICT_CHUNK]
         probs[lo : lo + len(chunk)] = forward(model, chunk)
@@ -568,19 +582,19 @@ def predict_batch(
 
 
 def predict_occluded(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities (C, B, 3) of standardized windows (B, C, T)
-    with channel c zeroed, for each c; x is not written. Per chunk, each
-    stage's front end z runs once, and channel c's copy starts from z less
-    the correlation of x[:, c] with weff[:, c]."""
+    """Eval-mode probabilities (C, B, 3), in the windows' dtype, of
+    standardized windows (B, C, T) with channel c zeroed, for each c; x is
+    not written. Per chunk, each stage's front end z runs once, and channel
+    c's copy starts from z less the correlation of x[:, c] with weff[:, c]."""
     cfg = model.config
     _check_input(cfg, x)
-    probs = np.empty((cfg.n_channels, x.shape[0], 3))
+    probs = np.empty((cfg.n_channels, x.shape[0], 3), x.dtype)
     stages = (model.stage_a, model.stage_b)
     for lo in range(0, x.shape[0], PREDICT_CHUNK):
         xc = x[lo : lo + PREDICT_CHUNK]
         fronts = []
         for stage in stages:
-            w, b = _conv_layers(stage, cfg)[0]
+            w, b = _conv_layers(_params_as(stage, x.dtype), cfg)[0]
             fronts.append((w, _lag_conv(w, xc) + b[None, :, None]))
         for c in range(cfg.n_channels):
             lags = sliding_window_view(xc[:, c], cfg.kernel_len, axis=-1).transpose(0, 2, 1)

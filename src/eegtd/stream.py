@@ -569,8 +569,9 @@ class OnlineEngine:
     latest window is scored. A `push` standardizes every window its frames
     complete and scores them in one `predict_batch`, whose rows do not
     depend on the batch, so neither do the detections on how the stream is
-    split into pushes. The rows then go through the engine's `Debouncer` in
-    stream order.
+    split into pushes. Windows are standardized in float64 and scored in
+    float32; the model's gradients (training) stay float64. The rows then
+    go through the engine's `Debouncer` in stream order.
     """
 
     def __init__(self, model: HierarchicalModel, cfg: OnlineConfig):
@@ -615,7 +616,7 @@ class OnlineEngine:
         windows = np.ascontiguousarray(
             sliding_window_view(x, w, axis=1)[:, first::stride].transpose(1, 0, 2)
         )
-        probs = predict_batch(self.model, standardize(windows))[1]
+        probs = predict_batch(self.model, standardize(windows).astype(np.float32))[1]
         emitted = []
         for now, row in zip(ends, probs):
             det = self._debouncer.step(now, row)

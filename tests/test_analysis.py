@@ -5,6 +5,8 @@ import io
 import numpy as np
 import pytest
 
+from eegtd import analysis, stream
+from eegtd import model as mdl
 from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Epoch, Event, EventSchedule
 from eegtd.analysis import (
     _score_windows,
@@ -28,6 +30,7 @@ from eegtd.model import (
     standardize,
     train,
 )
+from eegtd.stream import OnlineConfig, OnlineEngine
 from eegtd.synth import SynthConfig, erp_template, make_schedule, profile_by_name, render_eeg
 
 TINY = NetConfig(
@@ -317,3 +320,34 @@ class TestEvaluateEpochs:
         macro, cm = evaluate_epochs(model, epochs, MetricConfig())
         assert cm.total() == len(epochs)
         assert macro == 1.0
+
+
+def push_noise(model, _epochs):
+    frames = np.random.default_rng(0).standard_normal((100, model.config.n_channels))
+    OnlineEngine(model, OnlineConfig()).push(frames)
+
+
+@pytest.mark.parametrize("run, module, entry_points, dtype", [
+    (lambda m, ep: evaluate_epochs(m, ep, MetricConfig()),
+     analysis, ("predict_batch",), np.float32),
+    (lambda m, ep: occlusion_saliency(m, ep, MetricConfig()),
+     analysis, ("predict_batch", "predict_occluded"), np.float32),
+    (push_noise, stream, ("predict_batch",), np.float32),
+    (lambda m, ep: train(m, ep, TrainConfig(batch_size=32, epochs=1, seed=1)),
+     mdl, ("backward",), np.float64),
+    (gradient_saliency, analysis, ("backward",), np.float64),
+], ids=["evaluate_epochs", "occlusion_saliency", "OnlineEngine.push", "train",
+        "gradient_saliency"])
+def test_scoring_passes_float32_and_gradients_float64(
+    trained_single_channel_model, monkeypatch, run, module, entry_points, dtype
+):
+    model, epochs = trained_single_channel_model
+    seen = {name: [] for name in entry_points}
+    for name in entry_points:
+        def spy(m, x, *args, _real=getattr(module, name), _seen=seen[name], **kwargs):
+            _seen.append(x.dtype)
+            return _real(m, x, *args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    run(model, epochs)
+    for name, dtypes in seen.items():
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}, name

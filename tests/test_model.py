@@ -277,6 +277,34 @@ class TestGradients:
             fd = (lp - lm) / (2 * h)
             assert abs(dx.ravel()[i] - fd) / (abs(fd) + 1e-8) < 1e-3
 
+    @pytest.mark.parametrize("dropout", [False, True], ids=["eval", "dropout"])
+    def test_float32_input_gives_float32_gradients(self, dropout):
+        # Every kernel follows its input's dtype: no temporary upcasts a
+        # float32 pass to float64, and the values are the float64 pass's to
+        # float32 rounding.
+        cfg = NetConfig()
+        model = init_model(cfg, seed=4)
+        labels = mixed_labels(8, 5, seed=1)
+        x = standardize(np.random.default_rng(8).standard_normal((8, 32, 250)))
+        results = {}
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(5) if dropout else None
+            grads, loss, dx = backward(model, x.astype(dtype), labels, rng, need_input_grad=True)
+            assert dx.dtype == dtype
+            for stage_name, stage_grads in grads.items():
+                for name, value in stage_grads.items():
+                    assert value.dtype == dtype, f"{stage_name}.{name}"
+            results[dtype] = grads, loss, dx
+        (g64, loss64, dx64), (g32, loss32, dx32) = results[np.float64], results[np.float32]
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        tol = 1e-3  # relative to each array's largest entry; float32 eps is 1.2e-7
+        for stage_name in g64:
+            for name, value in g64[stage_name].items():
+                np.testing.assert_allclose(g32[stage_name][name], value, rtol=0,
+                                           atol=tol * np.abs(value).max(),
+                                           err_msg=f"{stage_name}.{name}")
+        np.testing.assert_allclose(dx32, dx64, rtol=0, atol=tol * np.abs(dx64).max())
+
 
 def reference_conv(w, x):
     """Valid cross-correlation of x (B, C, T) with w (G, C, K) over im2col
@@ -695,20 +723,33 @@ class TestPredict:
     @pytest.mark.parametrize("b", [2, 7, 64, 300])
     def test_rows_equal_single_window_forward_bit_for_bit(self, b):
         # The online engine scores whatever windows a received burst
-        # completes in one batch, so a row must not depend on the batch.
-        # Weights 4x the init scale make the output feel the last bits.
+        # completes in one batch, in float32, so a row must not depend on
+        # the batch. Weights 4x the init scale make the output feel the
+        # last bits.
         model = init_model(NetConfig(), seed=6)
         for stage in (model.stage_a, model.stage_b):
             for value in stage.params.values():
                 value *= 4.0
         x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
-        _, probs = predict_batch(model, x)
-        for row, window in zip(probs, x):
-            assert np.array_equal(row, forward(model, window[None])[0])
+        for dtype in (np.float64, np.float32):
+            _, probs = predict_batch(model, x.astype(dtype))
+            assert probs.dtype == dtype
+            for row, window in zip(probs, x.astype(dtype)):
+                assert np.array_equal(row, forward(model, window[None])[0])
 
     def test_dimension_mismatch(self, tiny_model):
         with pytest.raises(ValueError, match="shape"):
             forward(tiny_model, np.zeros((1, 3, 21)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_input_not_float32_or_float64_rejected(self, tiny_model, dtype):
+        # Parameters are cast to the input's dtype, so an integer input
+        # would truncate them.
+        x = np.ones((1, 3, 20), dtype)
+        for call in (lambda: forward(tiny_model, x), lambda: predict_occluded(tiny_model, x),
+                     lambda: backward(tiny_model, x, np.array([0]))):
+            with pytest.raises(ValueError, match="dtype"):
+                call()
 
     def test_window_without_batch_axis_rejected(self, tiny_model):
         # One window is a 1-row batch; a bare (C, T) window is a shape error.
@@ -742,6 +783,21 @@ class TestPredictOccluded:
             zeroed[:, c] = 0.0
             labels, expected = predict_batch(model, zeroed)
             np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+            assert np.array_equal(probs.argmax(axis=1), labels)
+
+    def test_float32_matches_forward_of_zeroed_copy(self, saturated_default):
+        # The analyses score in float32. The tolerance, 64 float32 eps, is
+        # 16 times the largest difference measured on this model.
+        model, x = saturated_default
+        x = x.astype(np.float32)
+        occluded = predict_occluded(model, x)
+        assert occluded.dtype == np.float32
+        for c, probs in enumerate(occluded):
+            zeroed = x.copy()
+            zeroed[:, c] = 0.0
+            labels, expected = predict_batch(model, zeroed)
+            np.testing.assert_allclose(probs, expected, rtol=0,
+                                       atol=64 * np.finfo(np.float32).eps)
             assert np.array_equal(probs.argmax(axis=1), labels)
 
     def test_flat_channel_keeps_baseline_bit_for_bit(self, tiny_model):

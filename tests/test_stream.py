@@ -629,9 +629,10 @@ class TestOnlineEngine:
 
     def test_confidence_equals_offline_forward_exactly(self, monkeypatch):
         # The engine classifies the same C-ordered window an offline slice
-        # gives. With one-window runs and no refractory hold, each confidence
-        # is bit-equal to the offline forward pass over the samples that end
-        # at the detection, however the frames are split into pushes.
+        # gives, standardized in float64 and scored in float32. With
+        # one-window runs and no refractory hold, each confidence is
+        # bit-equal to the offline float32 forward pass over the samples that
+        # end at the detection, however the frames are split into pushes.
         rec = make_recording(3000, n_channels=4, seed=3)
         model = init_model(NetConfig(n_channels=4), seed=2)
         # Weights 4x the init scale make the output depend on the last bits
@@ -667,7 +668,10 @@ class TestOnlineEngine:
         assert len(runs[10]) >= 5
         for det in runs[10]:
             window = standardize(rec.samples[None, :, det.time - w : det.time])
-            assert det.confidence == 1.0 - forward(model, window)[0, 0]
+            # float() keeps the subtraction and the == in float64, as the
+            # Debouncer computes it; a float32 scalar would round both.
+            p_nontarget = float(forward(model, window.astype(np.float32))[0, 0])
+            assert det.confidence == 1.0 - p_nontarget
 
     def test_first_detection_after_refractory_votes_over_the_held_run(self):
         # The run keeps growing while the refractory interval holds emission,
