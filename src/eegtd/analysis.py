@@ -9,10 +9,10 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from eegtd.core import ClassId, DynamicsKind, Epoch, EventSchedule, Recording
+from eegtd.core import ClassId, DynamicsKind, EventSchedule, Recording, Windows
 from eegtd.dataset import assign_labels, check_same_length, free_window_starts
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta, window_confusion
-from eegtd.model import HierarchicalModel, backward, predict_batch, predict_occluded, stack_epochs
+from eegtd.model import HierarchicalModel, backward, cut_windows, predict_batch, predict_occluded
 
 CLASS_NAMES = {
     int(ClassId.NON_TARGET): "NonTarget",
@@ -143,18 +143,21 @@ def _score_windows(
     return macro_f_beta(cm, cfg), cm
 
 
+def _stacked(windows: Windows) -> np.ndarray:
+    return cut_windows(windows.samples, windows.window_len, windows.starts)
+
+
 def evaluate_epochs(
-    model: HierarchicalModel, epochs: list[Epoch], cfg: MetricConfig
+    model: HierarchicalModel, windows: Windows, cfg: MetricConfig
 ) -> tuple[float, ConfusionMatrix]:
-    """Window-level macro F_beta of the model over a labeled epoch set.
+    """Window-level macro F_beta of the model over a labeled window set.
     Scoring is float32: the standardized windows are cast once. Gradients
     (training, `gradient_saliency`) stay float64."""
-    x, y = stack_epochs(epochs)
-    return _score_windows(model, x.astype(np.float32), y, cfg)
+    return _score_windows(model, _stacked(windows).astype(np.float32), windows.labels, cfg)
 
 
 def occlusion_saliency(
-    model: HierarchicalModel, eval_epochs: list[Epoch], cfg: MetricConfig
+    model: HierarchicalModel, windows: Windows, cfg: MetricConfig
 ) -> ChannelSaliency:
     """Importance per channel: macro F_beta drop when that channel is zeroed
     after standardization (zero = the channel's uninformative mean). Scored
@@ -163,8 +166,7 @@ def occlusion_saliency(
     except where a window's top two classes tie to float32 rounding.
     Scoring is float32, as in `evaluate_epochs`: the standardized windows
     are cast once."""
-    x, y = stack_epochs(eval_epochs)
-    x = x.astype(np.float32)
+    x, y = _stacked(windows).astype(np.float32), windows.labels
     baseline, _ = _score_windows(model, x, y, cfg)
     importance = [
         baseline - macro_f_beta(window_confusion(y, probs.argmax(axis=1)), cfg)
@@ -173,12 +175,10 @@ def occlusion_saliency(
     return ChannelSaliency(baseline, np.array(importance))
 
 
-def gradient_saliency(
-    model: HierarchicalModel, eval_epochs: list[Epoch]
-) -> np.ndarray:
+def gradient_saliency(model: HierarchicalModel, windows: Windows) -> np.ndarray:
     """Mean absolute input gradient of the loss per channel, dropout
     disabled; computed in float64, like training."""
-    x, y = stack_epochs(eval_epochs)
+    x, y = _stacked(windows), windows.labels
     total = np.zeros(x.shape[1])
     for lo in range(0, x.shape[0], GRADIENT_CHUNK):
         hi = min(lo + GRADIENT_CHUNK, x.shape[0])

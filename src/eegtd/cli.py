@@ -155,11 +155,11 @@ def cmd_train(args) -> int:
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
     cfg = _dataset_config(args, args.window_len, args.stride)
-    epochs = build_dataset(recording, schedule, cfg, child_seed(args.seed, "dataset"))
+    windows = build_dataset(recording, schedule, cfg, child_seed(args.seed, "dataset"))
     net = NetConfig(n_channels=recording.n_channels, window_len=cfg.window_len)
     model = init_model(net, child_seed(args.seed, "init"))
     train_cfg = _train_config(args, child_seed(args.seed, "train"), epochs=args.epochs)
-    trained, trace = train(model, epochs, train_cfg)
+    trained, trace = train(model, windows, train_cfg)
     with open(args.out_model, "wb") as fh:
         save_model(trained, fh)
     if args.loss_trace:
@@ -176,12 +176,12 @@ def cmd_calibrate(args) -> int:
     recording = load_recording(args.recording)
     schedule = load_schedule(args.schedule)
     cfg = _dataset_config(args, model.config.window_len, args.stride)
-    epochs = build_dataset(
+    windows = build_dataset(
         recording, schedule, cfg, child_seed(args.seed, "calibration")
     )
     train_cfg = _train_config(args, child_seed(args.seed, "calibrate"))
     tuned = calibrate(
-        model, epochs, train_cfg,
+        model, windows, train_cfg,
         lr_scale=args.lr_scale, epochs=args.calibration_epochs,
     )
     with open(args.out_model, "wb") as fh:
@@ -281,12 +281,12 @@ def cmd_analyze_saliency(args) -> int:
     # Evaluation windows do not slide: one window per event at its onset.
     w = model.config.window_len
     cfg = _dataset_config(args, w, stride=w)
-    epochs = build_eval_dataset(
+    windows = build_eval_dataset(
         recording, schedule, cfg, child_seed(args.seed, "saliency-eval")
     )
     metric = _metric_config(args)
-    occ = occlusion_saliency(model, epochs, metric)
-    grad = gradient_saliency(model, epochs)
+    occ = occlusion_saliency(model, windows, metric)
+    grad = gradient_saliency(model, windows)
     with open(args.out, "w", newline="") as fh:
         write_saliency_csv(recording.channel_names, occ.importance, grad, fh)
     if args.layout_out:

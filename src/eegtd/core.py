@@ -172,26 +172,35 @@ class EventSchedule:
                 )
 
 
-@dataclass
-class Epoch:
-    """A fixed-length channels x time window with its class label.
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Labeled windows of one channels x time array: window i is
+    samples[:, starts[i] : starts[i] + window_len], of class labels[i].
+    `samples` is a read-only float32 view of the array given, not a copy, so
+    sets cut by `dataset` share their recording's samples; the caller's
+    array keeps its own writeable flag."""
 
-    `data` is a read-only float32 view of the array it is given, not a copy:
-    windows cut by `dataset` are views of their recording's samples. The
-    caller's array keeps its own writeable flag.
-    """
-
-    data: np.ndarray  # (n_channels, window_len) float32
-    label: ClassId
-    source_onset: int
+    samples: np.ndarray  # (n_channels, n_samples) float32
+    window_len: int
+    starts: np.ndarray  # (n_windows,) int64
+    labels: np.ndarray  # (n_windows,) int64 ClassId values
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float32).view()
-        self.data.flags.writeable = False
-        if self.data.ndim != 2:
-            raise ValueError("epoch data must be 2-D")
-        if not np.isfinite(self.data).all():
-            raise ValueError("epoch data contains non-finite values")
+        samples = np.asarray(self.samples, dtype=np.float32).view()
+        samples.flags.writeable = False
+        starts = np.asarray(self.starts, dtype=np.int64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "labels", labels)
+        if samples.ndim != 2 or starts.ndim != 1 or starts.shape != labels.shape:
+            raise ValueError("windows need 2-D samples and 1-D starts and labels of one length")
+        last = samples.shape[1] - self.window_len
+        if self.window_len < 1 or len(starts) and not 0 <= starts.min() <= starts.max() <= last:
+            raise ValueError(f"windows of {self.window_len} samples must start in [0, {last}]")
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 def read_exact(source: BinaryIO, n: int, what: str) -> bytes:

@@ -2,25 +2,27 @@
 minority-class sliding-window augmentation, and seeded negative sampling.
 
 Augmentation slides the window forward from each event onset in `stride`
-steps, giving exactly window_len/stride epochs per event (10 with defaults).
-Test-time data are never augmented; evaluation sets take one window per
-event at its onset. Every epoch's data is a read-only view of the
-recording's samples, so overlapping windows cost no memory beyond the
-recording itself.
+steps, giving exactly window_len/stride windows per event (10 with
+defaults). Test-time data are never augmented; evaluation sets take one
+window per event at its onset. Every builder returns a `Windows`: arrays of
+starts and labels over a read-only view of the recording's samples, so
+overlapping windows cost no memory beyond the recording itself and
+nothing is cut until a model stacks them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from eegtd.core import ClassId, Epoch, EventSchedule, Recording
+from eegtd.core import EventSchedule, Recording, Windows
 from eegtd.seeding import child_seed
 
 
 class DatasetError(ValueError):
-    """Inputs from which the requested epochs cannot be extracted."""
+    """Inputs from which the requested windows cannot be extracted."""
 
 
 @dataclass(frozen=True)
@@ -61,31 +63,21 @@ def assign_labels(schedule: EventSchedule) -> np.ndarray:
     return labels
 
 
-def class_ratio(labels: np.ndarray) -> np.ndarray:
-    """Fractions of the three classes in a label track; sums to 1."""
-    if len(labels) == 0:
-        raise DatasetError("empty label track")
-    counts = np.bincount(labels, minlength=3).astype(np.float64)
-    return counts / len(labels)
-
-
 def augment_minority(
     rec: Recording, schedule: EventSchedule, cfg: DatasetConfig
-) -> list[Epoch]:
-    """Exactly augment_factor epochs per target event, starts onset + k*stride."""
-    epochs: list[Epoch] = []
-    for index, ev in enumerate(schedule.targets):
-        last_start = ev.onset + (cfg.augment_factor - 1) * cfg.stride
-        if last_start + cfg.window_len > rec.n_samples:
-            raise DatasetError(
-                f"event {index} at onset {ev.onset}: augmentation window "
-                f"overruns recording end ({rec.n_samples} samples)"
-            )
-        for k in range(cfg.augment_factor):
-            start = ev.onset + k * cfg.stride
-            data = rec.samples[:, start : start + cfg.window_len]
-            epochs.append(Epoch(data, ev.class_id, start))
-    return epochs
+) -> Windows:
+    """Exactly augment_factor windows per target event, event by event, at
+    starts onset + k*stride."""
+    onsets = np.array([ev.onset for ev in schedule.targets], dtype=np.int64)
+    starts = onsets[:, None] + cfg.stride * np.arange(cfg.augment_factor)
+    overruns = np.flatnonzero(starts[:, -1] + cfg.window_len > rec.n_samples)
+    if overruns.size:
+        raise DatasetError(
+            f"event {overruns[0]} at onset {onsets[overruns[0]]}: window "
+            f"overruns recording end ({rec.n_samples} samples)"
+        )
+    labels = np.repeat([int(ev.class_id) for ev in schedule.targets], cfg.augment_factor)
+    return Windows(rec.samples, cfg.window_len, starts.ravel(), labels)
 
 
 def free_window_starts(labels: np.ndarray, span: int) -> np.ndarray:
@@ -97,54 +89,56 @@ def free_window_starts(labels: np.ndarray, span: int) -> np.ndarray:
 
 def sample_nontarget(
     rec: Recording, schedule: EventSchedule, cfg: DatasetConfig, seed: int
-) -> list[Epoch]:
-    """nontarget_per_event seeded epochs per target event, disjoint from all
+) -> Windows:
+    """nontarget_per_event seeded windows per target event, disjoint from all
     target spans."""
     check_same_length(rec, schedule)
     quota = cfg.nontarget_per_event * len(schedule.targets)
-    if quota == 0:
-        return []
-    labels = assign_labels(schedule)
-    w = cfg.window_len
-    if rec.n_samples < w:
-        raise DatasetError("recording shorter than one window")
-    candidates = free_window_starts(labels, w)
-    if candidates.size == 0:
-        raise DatasetError("no all-non-target window available")
+    candidates = free_window_starts(assign_labels(schedule), cfg.window_len)
     if quota > candidates.size:
         raise DatasetError(
             f"insufficient non-target span: need {quota} windows, "
             f"only {candidates.size} candidate starts"
         )
-    rng = np.random.default_rng(seed)
-    starts = rng.choice(candidates, size=quota, replace=False)
-    return [
-        Epoch(rec.samples[:, s : s + w], ClassId.NON_TARGET, int(s))
-        for s in starts
-    ]
+    starts = np.random.default_rng(seed).choice(candidates, size=quota, replace=False)
+    return Windows(rec.samples, cfg.window_len, starts, np.zeros_like(starts))
+
+
+def _joined(first: Windows, second: Windows, order=slice(None)) -> Windows:
+    """Two sets over the same samples as one, in `order`."""
+    starts = np.concatenate((first.starts, second.starts))[order]
+    labels = np.concatenate((first.labels, second.labels))[order]
+    return Windows(first.samples, first.window_len, starts, labels)
 
 
 def build_dataset(
     rec: Recording, schedule: EventSchedule, cfg: DatasetConfig, seed: int
-) -> list[Epoch]:
-    """Augmented minority epochs plus sampled negatives, seeded shuffle."""
-    epochs = augment_minority(rec, schedule, cfg)
-    epochs += sample_nontarget(rec, schedule, cfg, child_seed(seed, "nontarget"))
+) -> Windows:
+    """Augmented minority windows plus sampled negatives, seeded shuffle."""
+    targets = augment_minority(rec, schedule, cfg)
+    negatives = sample_nontarget(rec, schedule, cfg, child_seed(seed, "nontarget"))
     rng = np.random.default_rng(child_seed(seed, "shuffle"))
-    order = rng.permutation(len(epochs))
-    return [epochs[i] for i in order]
+    return _joined(targets, negatives, rng.permutation(len(targets) + len(negatives)))
 
 
 def build_eval_dataset(
     rec: Recording, schedule: EventSchedule, cfg: DatasetConfig, seed: int
-) -> list[Epoch]:
+) -> Windows:
     """Unaugmented evaluation set: one window per event at its onset, plus
     the usual quota of negatives."""
-    epochs: list[Epoch] = []
-    for index, ev in enumerate(schedule.targets):
-        if ev.onset + cfg.window_len > rec.n_samples:
-            raise DatasetError(f"event {index}: evaluation window overruns recording")
-        data = rec.samples[:, ev.onset : ev.onset + cfg.window_len]
-        epochs.append(Epoch(data, ev.class_id, ev.onset))
-    epochs += sample_nontarget(rec, schedule, cfg, child_seed(seed, "eval-nontarget"))
-    return epochs
+    targets = augment_minority(rec, schedule, replace(cfg, stride=cfg.window_len))
+    negatives = sample_nontarget(rec, schedule, cfg, child_seed(seed, "eval-nontarget"))
+    return _joined(targets, negatives)
+
+
+def pool_windows(sets: Sequence[Windows]) -> Windows:
+    """One set over the sets' samples laid end to end along time: each set's
+    starts are offset by the samples before it, and the order is kept."""
+    if len({ws.window_len for ws in sets}) != 1:
+        raise ValueError("pooled window sets need one window_len")
+    offsets = np.cumsum([0] + [ws.samples.shape[1] for ws in sets[:-1]])
+    return Windows(
+        np.concatenate([ws.samples for ws in sets], axis=1), sets[0].window_len,
+        np.concatenate([ws.starts + off for ws, off in zip(sets, offsets)]),
+        np.concatenate([ws.labels for ws in sets]),
+    )

@@ -1,7 +1,7 @@
 """End-to-end detection experiments: generate offline sessions, pre-train,
 stream a fresh held-out session over TCP, and score event-level macro F_beta.
 
-Pre-training pools epochs from several independently generated sessions of
+Pre-training pools windows from several independently generated sessions of
 the same stimulus profile (the offline-subjects analog); the online test
 always runs on a session whose schedule and noise the model never saw.
 The session is replayed unpaced by default (`stream_speed` inf): the online
@@ -21,7 +21,7 @@ from eegtd.core import (
     save_recording,
     save_schedule,
 )
-from eegtd.dataset import DatasetConfig, build_dataset
+from eegtd.dataset import DatasetConfig, build_dataset, pool_windows
 from eegtd.metrics import (
     ConfusionMatrix,
     Detection,
@@ -95,20 +95,20 @@ def generate_session(
 def pretrain_model(
     cfg: ExperimentConfig,
 ) -> tuple[HierarchicalModel, list[float]]:
-    """Train on pooled epochs from n_train_sessions generated sessions."""
-    epochs = []
-    for i in range(cfg.n_train_sessions):
-        session_seed = child_seed(cfg.seed, f"train-session-{i}")
-        rec, schedule = generate_session(cfg, session_seed)
-        epochs += build_dataset(
-            rec, schedule, cfg.dataset, child_seed(session_seed, "dataset")
-        )
-        log.info("session %d: %d epochs pooled", i, len(epochs))
+    """Train on the pooled windows of n_train_sessions generated sessions.
+    The per-session sets die with the pooling call, so only the pooled
+    samples stay alive while training."""
+    seeds = [child_seed(cfg.seed, f"train-session-{i}") for i in range(cfg.n_train_sessions)]
+    windows = pool_windows([
+        build_dataset(*generate_session(cfg, s), cfg.dataset, child_seed(s, "dataset"))
+        for s in seeds
+    ])
+    log.info("%d windows pooled from %d sessions", len(windows), len(seeds))
     model = init_model(cfg.net, child_seed(cfg.seed, "init"))
     train_cfg = TrainConfig(
         epochs=cfg.train_epochs, seed=child_seed(cfg.seed, "train")
     )
-    return train(model, epochs, train_cfg)
+    return train(model, windows, train_cfg)
 
 
 def run_detection_experiment(

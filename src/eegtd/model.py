@@ -29,16 +29,19 @@ channel's share: the zeroed copy's labels, unless two classes tie to the
 input dtype's rounding (~1e-15 in float64, ~1e-7 in float32).
 
 The model's API takes batches of standardized windows (B, C, T); one window
-is a 1-row batch. `forward` gives the composed probabilities (B, 3),
-`cross_entropy` each row's loss, and `backward` the gradients of their mean.
-Every kernel computes in the dtype of its input: each call casts the
-parameters, which stay float64 in memory and on disk, to the windows'
-dtype, so float32 windows run float32 end to end and float64 windows give
-float64 bits. Scoring (the online engine, window evaluation and occlusion)
-passes float32 windows; training, calibration and input-gradient saliency
-pass float64. Gradients are hand-derived reverse mode; `backward` is checked
-against central finite differences in the tests. Training is Adam with
-decoupled weight decay and is bit-deterministic given (seed, data, config).
+is a 1-row batch. `cut_windows` is the one cutter that makes them, from a
+`core.Windows` set in training and analysis and from the online engine's
+buffer, so a window has the same bits online and offline. `forward` gives
+the composed probabilities (B, 3), `cross_entropy` each row's loss, and
+`backward` the gradients of their mean. Every kernel computes in the dtype
+of its input: each call casts the parameters, which stay float64 in memory
+and on disk, to the windows' dtype, so float32 windows run float32 end to
+end and float64 windows give float64 bits. Scoring (the online engine,
+window evaluation and occlusion) passes float32 windows; training,
+calibration and input-gradient saliency pass float64. Gradients are
+hand-derived reverse mode; `backward` is checked against central finite
+differences in the tests. Training is Adam with decoupled weight decay and
+is bit-deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eegtd.core import Epoch, FormatError, read_exact
+from eegtd.core import FormatError, Windows, read_exact
 from eegtd.seeding import child_seed
 
 HMDL_MAGIC = b"HMDL"
@@ -68,8 +71,8 @@ HMDL_HEADER = struct.Struct("<IIIIIIIdI")
 LOSS_EPS = 1e-12
 # Windows per forward pass in predict_batch; bounds its activation memory.
 PREDICT_CHUNK = 256
-# Windows standardized at a time by stack_epochs; its temporaries stay a
-# small fraction of the (N, C, T) float64 output.
+# Windows cut and standardized at a time by cut_windows; its temporaries
+# stay a small fraction of the (N, C, T) float64 output.
 STACK_CHUNK = 64
 # Output bytes per row chunk of a lag-conv sum (`_lag_conv`,
 # `_lag_conv_input_grad`): the chunk's running sum and its one product
@@ -231,22 +234,19 @@ def standardize(epoch_data: np.ndarray) -> np.ndarray:
     return x
 
 
-def stack_epochs(epochs: list[Epoch]) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized float64 windows (N, C, T) and int64 labels (N,)."""
-    if not epochs:
-        raise ValueError("empty epoch set: training and evaluation need a non-empty one")
-    shape = epochs[0].data.shape
-    for i, ep in enumerate(epochs):
-        if ep.data.shape != shape:
-            raise ValueError(f"epoch {i} has shape {ep.data.shape}, epoch 0 has {shape}")
-    # Rows standardize independently, so filling chunk by chunk gives the
-    # same bits as standardizing one whole stack.
-    x = np.empty((len(epochs), *shape))
-    for lo in range(0, len(epochs), STACK_CHUNK):
-        chunk = epochs[lo : lo + STACK_CHUNK]
-        x[lo : lo + len(chunk)] = standardize(np.stack([ep.data for ep in chunk]))
-    y = np.array([int(ep.label) for ep in epochs], dtype=np.int64)
-    return x, y
+def cut_windows(samples: np.ndarray, window_len: int, starts: np.ndarray) -> np.ndarray:
+    """Standardized float64 windows (N, C, window_len) of samples (C, S):
+    row i is samples[:, starts[i] : starts[i] + window_len]."""
+    if len(starts) == 0:
+        raise ValueError("empty window set: training and evaluation need a non-empty one")
+    # The gather copies each window out C-ordered, as a slice would be, and
+    # rows standardize independently: chunks give one whole stack's bits.
+    view = sliding_window_view(samples, window_len, axis=1).transpose(1, 0, 2)
+    x = np.empty((len(starts), samples.shape[0], window_len))
+    for lo in range(0, len(starts), STACK_CHUNK):
+        chunk = starts[lo : lo + STACK_CHUNK]
+        x[lo : lo + len(chunk)] = standardize(view[chunk])
+    return x
 
 
 def _elu(z: np.ndarray) -> np.ndarray:
@@ -444,7 +444,6 @@ def _stage_forward(
 
 
 def _stage_backward(
-    stage: StageNet,
     cfg: NetConfig,
     cache: dict,
     dlogits: np.ndarray,
@@ -561,8 +560,8 @@ def backward(
     onehot_b[np.arange(len(rows)), labels[rows] - 1] = 1.0
     dlb[rows] = (pb[rows] - onehot_b) / b
 
-    grads_a, dx = _stage_backward(model.stage_a, cfg, cache_a, dla, need_input_grad)
-    grads_b, dx_b = _stage_backward(model.stage_b, cfg, cache_b, dlb, need_input_grad)
+    grads_a, dx = _stage_backward(cfg, cache_a, dla, need_input_grad)
+    grads_b, dx_b = _stage_backward(cfg, cache_b, dlb, need_input_grad)
     if need_input_grad:
         dx[rows] += dx_b
     return {"stage_a": grads_a, "stage_b": grads_b}, float(losses.mean()), dx
@@ -611,15 +610,16 @@ def _iter_params(model: HierarchicalModel):
 
 
 def train(
-    model: HierarchicalModel, epochs_data: list[Epoch], cfg: TrainConfig
+    model: HierarchicalModel, windows: Windows, cfg: TrainConfig
 ) -> tuple[HierarchicalModel, list[float]]:
-    """Adam with decoupled weight decay on a copy of `model`.
+    """Adam with decoupled weight decay on a copy of `model`, over the
+    windows cut by `cut_windows`.
 
     Returns the trained copy and the per-epoch mean loss trace. Shuffling and
     dropout streams derive from cfg.seed, so identical inputs give
     bit-identical results.
     """
-    x, y = stack_epochs(epochs_data)
+    x, y = cut_windows(windows.samples, windows.window_len, windows.starts), windows.labels
     model = copy.deepcopy(model)
 
     rng_shuffle = np.random.default_rng(child_seed(cfg.seed, "shuffle"))
@@ -661,7 +661,7 @@ def train(
 
 def calibrate(
     model: HierarchicalModel,
-    calibration_epochs: list[Epoch],
+    calibration_windows: Windows,
     cfg: TrainConfig,
     lr_scale: float = 0.1,
     epochs: int = 10,
@@ -673,7 +673,7 @@ def calibrate(
     tuned_cfg = replace(
         cfg, learning_rate=cfg.learning_rate * lr_scale, epochs=epochs
     )
-    tuned, _ = train(model, calibration_epochs, tuned_cfg)
+    tuned, _ = train(model, calibration_windows, tuned_cfg)
     return tuned
 
 

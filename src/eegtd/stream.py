@@ -33,14 +33,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from eegtd.core import (
     KIND_TO_CSV, ClassId, EventSchedule, FormatError, Recording, pack_names, read_names,
 )
 from eegtd.dataset import check_same_length
 from eegtd.metrics import Detection
-from eegtd.model import HierarchicalModel, predict_batch, standardize
+from eegtd.model import HierarchicalModel, cut_windows, predict_batch
 
 log = logging.getLogger("eegtd.stream")
 
@@ -566,12 +565,13 @@ class OnlineEngine:
     """Sliding-window detector over an incoming frame stream.
 
     Every `infer_stride` new frames (once a full window is buffered) the
-    latest window is scored. A `push` standardizes every window its frames
-    complete and scores them in one `predict_batch`, whose rows do not
-    depend on the batch, so neither do the detections on how the stream is
-    split into pushes. Windows are standardized in float64 and scored in
-    float32; the model's gradients (training) stay float64. The rows then
-    go through the engine's `Debouncer` in stream order.
+    latest window is scored. A `push` cuts every window its frames complete
+    with `cut_windows`, the cutter training and analysis use, and scores
+    them in one `predict_batch`, whose rows do not depend on the batch, so
+    neither do the detections on how the stream is split into pushes.
+    Windows are standardized in float64 and scored in float32; the model's
+    gradients (training) stay float64. The rows then go through the
+    engine's `Debouncer` in stream order.
     """
 
     def __init__(self, model: HierarchicalModel, cfg: OnlineConfig):
@@ -610,13 +610,8 @@ class OnlineEngine:
             return []
         self._next_eval = ends[-1] + stride
         x = np.concatenate((tail, frames.T), axis=1, dtype=np.float32)
-        first = ends[0] - w - (head - tail.shape[1])
-        # C-ordered windows, so each standardizes bit for bit like an
-        # offline slice.
-        windows = np.ascontiguousarray(
-            sliding_window_view(x, w, axis=1)[:, first::stride].transpose(1, 0, 2)
-        )
-        probs = predict_batch(self.model, standardize(windows).astype(np.float32))[1]
+        starts = np.array(ends) - w - (head - tail.shape[1])
+        probs = predict_batch(self.model, cut_windows(x, w, starts).astype(np.float32))[1]
         emitted = []
         for now, row in zip(ends, probs):
             det = self._debouncer.step(now, row)

@@ -17,13 +17,13 @@ from eegtd.analysis import (
     gradient_saliency,
     occlusion_saliency,
 )
-from eegtd.core import ClassId, Epoch, Event, EventSchedule, load_recording
+from conftest import windows_end_to_end
+from eegtd.core import ClassId, Event, EventSchedule, load_recording
 from eegtd.dataset import (
     DatasetConfig,
     assign_labels,
     augment_minority,
     build_eval_dataset,
-    class_ratio,
 )
 from eegtd.experiment import (
     clean_stimulus_config,
@@ -144,7 +144,8 @@ def test_criterion_2_label_augmentation_fidelity():
         cls = ClassId.TRUE_TARGET if i % 2 == 0 else ClassId.ERROR_TARGET
         events.append(Event(onset, cls, 250))
     schedule = EventSchedule(120000, RATE, events, [])
-    ratio = class_ratio(assign_labels(schedule))
+    track = assign_labels(schedule)
+    ratio = np.bincount(track, minlength=3) / len(track)
     exact = np.array_equal(ratio, [0.875, 0.0625, 0.0625])
 
     rng = np.random.default_rng(1)
@@ -154,14 +155,14 @@ def test_criterion_2_label_augmentation_fidelity():
     rec = Recording(RATE, ["a", "b", "c", "d"], rec_samples)
     epochs = augment_minority(rec, schedule, DatasetConfig())
     per_event = [
-        sorted(e.source_onset for e in epochs if ev.onset <= e.source_onset < ev.end)
+        sorted(int(s) for s in epochs.starts if ev.onset <= s < ev.end)
         for ev in schedule.targets
     ]
     ten_each = all(
         starts == list(range(ev.onset, ev.onset + 250, 25))
         for starts, ev in zip(per_event, schedule.targets)
     )
-    labels = [e.label for e in epochs]
+    labels = epochs.labels.tolist()
     counts_ok = (
         labels.count(ClassId.TRUE_TARGET) == 300
         and labels.count(ClassId.ERROR_TARGET) == 300
@@ -340,13 +341,15 @@ def test_criterion_8_saliency_contrast(a2_result):
     rng = np.random.default_rng(3)
     t = np.arange(40)
     patterns = {1: np.sin(2 * np.pi * t / 8), 2: -np.sin(2 * np.pi * t / 8)}
-    toy_epochs = []
+    toy_windows, toy_labels = [], []
     for c in (0, 1, 2):
         for _ in range(40):
             data = 0.3 * rng.standard_normal((4, 40))
             if c:
                 data[informative] += 3.0 * patterns[c]
-            toy_epochs.append(Epoch(data.astype(np.float32), ClassId(c), 0))
+            toy_windows.append(data.astype(np.float32))
+            toy_labels.append(c)
+    toy_epochs = windows_end_to_end(toy_windows, toy_labels)
     toy_net = NetConfig(
         n_channels=4, window_len=40, temporal_filters=2, deep_filters=(2,),
         kernel_len=5, pool_len=2, dropout_rate=0.0, dense_hidden=4,

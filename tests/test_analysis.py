@@ -7,7 +7,8 @@ import pytest
 
 from eegtd import analysis, stream
 from eegtd import model as mdl
-from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Epoch, Event, EventSchedule
+from conftest import windows_end_to_end
+from eegtd.core import ClassId, DynamicsEvent, DynamicsKind, Event, EventSchedule, Windows
 from eegtd.analysis import (
     _score_windows,
     grand_average_erp,
@@ -23,11 +24,10 @@ from eegtd.model import (
     TrainConfig,
     backward,
     cross_entropy,
+    cut_windows,
     forward,
     init_model,
     predict_batch,
-    stack_epochs,
-    standardize,
     train,
 )
 from eegtd.stream import OnlineConfig, OnlineEngine
@@ -179,7 +179,7 @@ class TestGrandAverage:
 def informative_channel_epochs(channel=2, n_per_class=30, seed=0):
     """Toy set where only one channel carries class information."""
     rng = np.random.default_rng(seed)
-    epochs = []
+    windows, labels = [], []
     t = np.arange(40)
     patterns = {
         1: np.sin(2 * np.pi * t / 8),
@@ -190,8 +190,9 @@ def informative_channel_epochs(channel=2, n_per_class=30, seed=0):
             data = 0.3 * rng.standard_normal((4, 40))
             if c != 0:
                 data[channel] += 3.0 * patterns[c]
-            epochs.append(Epoch(data.astype(np.float32), ClassId(c), 0))
-    return epochs
+            windows.append(data.astype(np.float32))
+            labels.append(c)
+    return windows_end_to_end(windows, labels)
 
 
 @pytest.fixture(scope="module")
@@ -224,9 +225,8 @@ class TestOcclusionSaliency:
         model, epochs = trained_single_channel_model
         base = occlusion_saliency(model, epochs, MetricConfig()).importance
         perm = [3, 0, 2, 1]
-        permuted_epochs = [
-            Epoch(ep.data[perm], ep.label, ep.source_onset) for ep in epochs
-        ]
+        permuted_epochs = Windows(epochs.samples[perm], epochs.window_len, epochs.starts,
+                                  epochs.labels)
         import copy
 
         permuted_model = copy.deepcopy(model)
@@ -240,7 +240,7 @@ class TestOcclusionSaliency:
 
     def test_matches_per_channel_copy_bit_for_bit(self, trained_single_channel_model):
         model, epochs = trained_single_channel_model
-        x, y = stack_epochs(epochs)
+        x, y = cut_windows(epochs.samples, epochs.window_len, epochs.starts), epochs.labels
         baseline, _ = _score_windows(model, x, y, MetricConfig())
         expected = []
         for c in range(x.shape[1]):
@@ -254,7 +254,8 @@ class TestOcclusionSaliency:
     def test_empty_set_rejected(self, trained_single_channel_model):
         model, _ = trained_single_channel_model
         with pytest.raises(ValueError, match="empty"):
-            occlusion_saliency(model, [], MetricConfig())
+            occlusion_saliency(model, windows_end_to_end(np.empty((0, 4, 40)), []),
+                               MetricConfig())
 
 
 class TestGradientSaliency:
@@ -274,9 +275,9 @@ class TestGradientSaliency:
 
     def test_matches_finite_differences_on_coordinates(self, trained_single_channel_model):
         model, epochs = trained_single_channel_model
-        ep = epochs[40]  # a class-1 epoch
-        x = standardize(ep.data)[None]
-        labels = np.array([int(ep.label)])
+        one = slice(40, 41)  # a class-1 epoch
+        x = cut_windows(epochs.samples, epochs.window_len, epochs.starts[one])
+        labels = epochs.labels[one]
         _, _, dx = backward(model, x, labels, need_input_grad=True)
         rng = np.random.default_rng(1)
         h = 1e-4
@@ -314,9 +315,9 @@ def converged_single_channel_model():
 class TestEvaluateEpochs:
     def test_perfect_model_scores_one(self, converged_single_channel_model):
         model, epochs = converged_single_channel_model
-        x = standardize(np.stack([ep.data for ep in epochs]))
+        x = cut_windows(epochs.samples, epochs.window_len, epochs.starts)
         labels, _ = predict_batch(model, x)
-        assert labels.tolist() == [int(ep.label) for ep in epochs]
+        assert labels.tolist() == epochs.labels.tolist()
         macro, cm = evaluate_epochs(model, epochs, MetricConfig())
         assert cm.total() == len(epochs)
         assert macro == 1.0

@@ -12,11 +12,11 @@ from eegtd.core import (
     ClassId,
     DynamicsEvent,
     DynamicsKind,
-    Epoch,
     Event,
     EventSchedule,
     FormatError,
     Recording,
+    Windows,
     read_recording,
     read_schedule,
     write_recording,
@@ -55,23 +55,32 @@ class TestRecordingType:
 
 
 class TestEpochType:
+    """`Windows`, the labeled set of epochs cut from one sample array."""
+
     def test_read_only_view_leaves_caller_array_writeable(self):
         samples = np.zeros((2, 10), dtype=np.float32)
-        ep = Epoch(samples[:, 2:7], ClassId.TRUE_TARGET, 2)
-        assert np.shares_memory(ep.data, samples)
+        ws = Windows(samples[:, 2:7], 5, [0], [ClassId.TRUE_TARGET])
+        assert np.shares_memory(ws.samples, samples)
         with pytest.raises(ValueError):
-            ep.data[0, 0] = 1.0
+            ws.samples[0, 0] = 1.0
         assert samples.flags.writeable
         samples[0, 2] = 3.0
-        assert ep.data[0, 0] == 3.0
+        assert ws.samples[0, 0] == 3.0
 
     def test_float64_input_cast_to_float32(self):
-        ep = Epoch(np.ones((2, 5)), ClassId.NON_TARGET, 0)
-        assert ep.data.dtype == np.float32
+        ws = Windows(np.ones((2, 5)), 5, [0], [ClassId.NON_TARGET])
+        assert ws.samples.dtype == np.float32
+        assert ws.starts.dtype == ws.labels.dtype == np.int64
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            Epoch(np.array([[0.0, np.inf]], np.float32), ClassId.NON_TARGET, 0)
+    @pytest.mark.parametrize("start", [-1, 6])
+    def test_window_outside_samples_rejected(self, start):
+        with pytest.raises(ValueError, match=r"start in \[0, 5\]"):
+            Windows(np.ones((2, 10)), 5, [0, start], [0, 0])
+
+    def test_starts_and_labels_of_one_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            Windows(np.ones((2, 10)), 5, [0, 1], [0])
+        assert len(Windows(np.ones((2, 10)), 5, [0, 1, 5], [0, 1, 2])) == 3
 
 
 class TestEegrFormat:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegtd import dataset
-from eegtd.core import ClassId, Event, EventSchedule, Recording
+from eegtd.core import ClassId, Event, EventSchedule, Recording, Windows
 from eegtd.dataset import (
     DatasetConfig,
     DatasetError,
@@ -14,10 +14,11 @@ from eegtd.dataset import (
     augment_minority,
     build_dataset,
     build_eval_dataset,
-    class_ratio,
     free_window_starts,
+    pool_windows,
     sample_nontarget,
 )
+from eegtd.model import cut_windows
 
 RATE = 250.0
 
@@ -38,6 +39,15 @@ def video2n_shaped_schedule() -> EventSchedule:
     return EventSchedule(120000, RATE, events, [])
 
 
+def fractions(track):
+    """Fractions of the three classes in a label track."""
+    return np.bincount(track, minlength=3) / len(track)
+
+
+def stacked(windows):
+    return cut_windows(windows.samples, windows.window_len, windows.starts)
+
+
 class TestAssignLabels:
     def test_video1_track_length(self):
         sched = EventSchedule(75000, RATE, [], [])
@@ -53,7 +63,7 @@ class TestAssignLabels:
         assert int((track == 1).sum()) == 250
 
     def test_video2n_class_fractions(self):
-        ratio = class_ratio(assign_labels(video2n_shaped_schedule()))
+        ratio = fractions(assign_labels(video2n_shaped_schedule()))
         assert ratio == pytest.approx([0.875, 0.0625, 0.0625], abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -72,7 +82,7 @@ class TestAssignLabels:
 class TestClassRatio:
     def test_all_nontarget(self):
         track = assign_labels(EventSchedule(1000, RATE, [], []))
-        assert class_ratio(track) == pytest.approx([1.0, 0.0, 0.0])
+        assert fractions(track) == pytest.approx([1.0, 0.0, 0.0])
 
     def test_counts_vs_linear_scan(self):
         sched = video2n_shaped_schedule()
@@ -80,12 +90,8 @@ class TestClassRatio:
         manual = [0, 0, 0]
         for v in track:
             manual[v] += 1
-        assert class_ratio(track) == pytest.approx(np.array(manual) / 120000)
+        assert fractions(track) == pytest.approx(np.array(manual) / 120000)
         assert manual[1] == 7500 and manual[2] == 7500
-
-    def test_empty_track_error(self):
-        with pytest.raises(DatasetError):
-            class_ratio(np.array([], dtype=np.int8))
 
 
 class TestAugmentMinority:
@@ -93,14 +99,14 @@ class TestAugmentMinority:
         rec = flat_recording(75000)
         sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
         epochs = augment_minority(rec, sched, DatasetConfig())
-        assert [e.source_onset for e in epochs] == list(range(1000, 1250, 25))
-        assert all(e.label == ClassId.TRUE_TARGET for e in epochs)
-        assert all(e.data.shape == (4, 250) for e in epochs)
+        assert epochs.starts.tolist() == list(range(1000, 1250, 25))
+        assert all(label == ClassId.TRUE_TARGET for label in epochs.labels)
+        assert stacked(epochs).shape[1:] == (4, 250)
 
     def test_video2n_counts(self):
         rec = flat_recording(120000)
         epochs = augment_minority(rec, video2n_shaped_schedule(), DatasetConfig())
-        labels = [e.label for e in epochs]
+        labels = epochs.labels.tolist()
         assert labels.count(ClassId.TRUE_TARGET) == 300
         assert labels.count(ClassId.ERROR_TARGET) == 300
 
@@ -109,7 +115,7 @@ class TestAugmentMinority:
         sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
         epochs = augment_minority(rec, sched, DatasetConfig(stride=250))
         assert len(epochs) == 1
-        assert epochs[0].source_onset == 1000
+        assert epochs.starts[0] == 1000
 
     def test_overrun_reports_event_index(self):
         rec = flat_recording(1400)
@@ -125,8 +131,9 @@ class TestAugmentMinority:
         rec = flat_recording(75000)
         sched = EventSchedule(75000, RATE, [Event(2000, ClassId.ERROR_TARGET, 250)], [])
         epochs = augment_minority(rec, sched, DatasetConfig())
-        third = epochs[3]
-        assert np.array_equal(third.data, rec.samples[:, 2075:2325])
+        third = epochs.starts[3]
+        assert np.array_equal(epochs.samples[:, third : third + epochs.window_len],
+                              rec.samples[:, 2075:2325])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 9))
@@ -134,8 +141,8 @@ class TestAugmentMinority:
         cfg = DatasetConfig()
         rec = flat_recording(75000)
         sched = EventSchedule(75000, RATE, [Event(5000, ClassId.TRUE_TARGET, 250)], [])
-        ep = augment_minority(rec, sched, cfg)[idx]
-        assert 5000 <= ep.source_onset <= 5000 + cfg.window_len - cfg.stride
+        start = augment_minority(rec, sched, cfg).starts[idx]
+        assert 5000 <= start <= 5000 + cfg.window_len - cfg.stride
 
 
 class TestSampleNontarget:
@@ -144,17 +151,17 @@ class TestSampleNontarget:
         sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
         epochs = sample_nontarget(rec, sched, DatasetConfig(), seed=7)
         assert len(epochs) == 14
-        for ep in epochs:
-            lo, hi = ep.source_onset, ep.source_onset + 250
+        for start, label in zip(epochs.starts, epochs.labels):
+            lo, hi = start, start + 250
             assert hi <= 1000 or lo >= 1250
-            assert ep.label == ClassId.NON_TARGET
+            assert label == ClassId.NON_TARGET
 
     def test_deterministic(self):
         rec = flat_recording(75000)
         sched = EventSchedule(75000, RATE, [Event(1000, ClassId.TRUE_TARGET, 250)], [])
         a = sample_nontarget(rec, sched, DatasetConfig(), seed=5)
         b = sample_nontarget(rec, sched, DatasetConfig(), seed=5)
-        assert [e.source_onset for e in a] == [e.source_onset for e in b]
+        assert a.starts.tolist() == b.starts.tolist()
 
     def test_fully_labeled_recording_errors(self):
         rec = flat_recording(500)
@@ -199,7 +206,7 @@ class TestBuildDataset:
         rec = flat_recording(120000)
         sched = video2n_shaped_schedule()
         epochs = build_dataset(rec, sched, DatasetConfig(), seed=13)
-        labels = [e.label for e in epochs]
+        labels = epochs.labels.tolist()
         assert labels.count(ClassId.TRUE_TARGET) == 300
         assert labels.count(ClassId.ERROR_TARGET) == 300
         assert labels.count(ClassId.NON_TARGET) == 14 * 60
@@ -207,7 +214,7 @@ class TestBuildDataset:
     def test_empty_schedule_empty_dataset(self):
         rec = flat_recording(10000)
         sched = EventSchedule(10000, RATE, [], [])
-        assert build_dataset(rec, sched, DatasetConfig(), seed=13) == []
+        assert len(build_dataset(rec, sched, DatasetConfig(), seed=13)) == 0
 
     def test_two_seeds_same_multiset_different_order(self):
         rec = flat_recording(120000)
@@ -215,32 +222,34 @@ class TestBuildDataset:
         a = build_dataset(rec, sched, DatasetConfig(), seed=13)
         b = build_dataset(rec, sched, DatasetConfig(), seed=14)
 
-        def key(ep):
-            return (int(ep.label), ep.source_onset, ep.data.tobytes())
+        def keys(windows):
+            x = stacked(windows)
+            return [(int(label), int(start), row.tobytes())
+                    for label, start, row in zip(windows.labels, windows.starts, x)]
 
         # negatives differ between seeds, but the augmented target portion is
         # a fixed multiset; check targets match and orders differ
-        ta = sorted(key(e) for e in a if e.label != ClassId.NON_TARGET)
-        tb = sorted(key(e) for e in b if e.label != ClassId.NON_TARGET)
+        ta = sorted(k for k in keys(a) if k[0] != ClassId.NON_TARGET)
+        tb = sorted(k for k in keys(b) if k[0] != ClassId.NON_TARGET)
         assert ta == tb
-        assert [key(e) for e in a] != [key(e) for e in b]
+        assert keys(a) != keys(b)
 
     def test_same_seed_identical(self):
         rec = flat_recording(120000)
         sched = video2n_shaped_schedule()
         a = build_dataset(rec, sched, DatasetConfig(), seed=13)
         b = build_dataset(rec, sched, DatasetConfig(), seed=13)
-        assert [(e.label, e.source_onset) for e in a] == [
-            (e.label, e.source_onset) for e in b
-        ]
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.starts, b.starts)
 
     def test_no_nontarget_epoch_intersects_target_span(self):
         rec = flat_recording(120000)
         sched = video2n_shaped_schedule()
         spans = [(ev.onset, ev.end) for ev in sched.targets]
-        for ep in build_dataset(rec, sched, DatasetConfig(), seed=13):
-            if ep.label == ClassId.NON_TARGET:
-                lo, hi = ep.source_onset, ep.source_onset + 250
+        windows = build_dataset(rec, sched, DatasetConfig(), seed=13)
+        for start, label in zip(windows.starts, windows.labels):
+            if label == ClassId.NON_TARGET:
+                lo, hi = start, start + 250
                 assert all(hi <= s or lo >= e for s, e in spans)
 
 
@@ -249,8 +258,45 @@ class TestEvalDataset:
         rec = flat_recording(120000)
         sched = video2n_shaped_schedule()
         epochs = build_eval_dataset(rec, sched, DatasetConfig(), seed=3)
-        target_onsets = [e.source_onset for e in epochs if e.label != ClassId.NON_TARGET]
+        target_onsets = epochs.starts[epochs.labels != ClassId.NON_TARGET].tolist()
         assert target_onsets == [ev.onset for ev in sched.targets]
+
+    def test_overrun_reports_event_index(self):
+        rec = flat_recording(1400)
+        sched = EventSchedule(
+            1400, RATE,
+            [Event(100, ClassId.TRUE_TARGET, 250), Event(1200, ClassId.ERROR_TARGET, 200)],
+            [],
+        )
+        with pytest.raises(DatasetError, match="event 1 at onset 1200"):
+            build_eval_dataset(rec, sched, DatasetConfig(), seed=3)
+
+
+class TestPoolWindows:
+    def sessions(self):
+        """Two build_dataset sets of different recordings and lengths."""
+        sets = []
+        for seed, n_samples, onsets in ((1, 20000, (1000, 9000)),
+                                        (2, 16000, (500, 4000, 12000))):
+            rng = np.random.default_rng(seed)
+            rec = Recording(RATE, ["a", "b", "c"], rng.standard_normal((3, n_samples)))
+            events = [Event(o, ClassId(1 + i % 2), 250) for i, o in enumerate(onsets)]
+            sched = EventSchedule(n_samples, RATE, events, [])
+            sets.append(build_dataset(rec, sched, DatasetConfig(), seed=seed))
+        return sets
+
+    def test_stack_equals_per_session_stacks_bit_for_bit(self):
+        a, b = self.sessions()
+        pooled = pool_windows([a, b])
+        assert np.array_equal(stacked(pooled), np.concatenate([stacked(a), stacked(b)]))
+        assert pooled.labels.tolist() == a.labels.tolist() + b.labels.tolist()
+        assert np.array_equal(pooled.starts[len(a):], b.starts + a.samples.shape[1])
+
+    def test_one_window_len(self):
+        a, b = self.sessions()
+        shorter = Windows(b.samples, 100, b.starts, b.labels)
+        with pytest.raises(ValueError, match="one window_len"):
+            pool_windows([a, shorter])
 
 
 class TestWindowsAreRecordingViews:
@@ -266,11 +312,10 @@ class TestWindowsAreRecordingViews:
     def test_read_only_views(self, build):
         rec = flat_recording(120000)
         epochs = build(rec, video2n_shaped_schedule())
-        assert epochs
-        for ep in epochs:
-            assert np.shares_memory(ep.data, rec.samples)
-            with pytest.raises(ValueError):
-                ep.data[0, 0] = 0.0
+        assert len(epochs)
+        assert np.shares_memory(epochs.samples, rec.samples)
+        with pytest.raises(ValueError):
+            epochs.samples[0, epochs.starts[0]] = 0.0
         assert rec.samples.flags.writeable
 
 

@@ -11,7 +11,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import eegtd
-from eegtd.core import ClassId, Epoch, FormatError
+from conftest import windows_end_to_end
+from eegtd.core import FormatError, Windows
 from eegtd.metrics import ConfusionMatrix, MetricConfig, macro_f_beta
 from eegtd.model import (
     CONV_CHUNK_BYTES,
@@ -25,6 +26,7 @@ from eegtd.model import (
     calibrate,
     compose_probs,
     cross_entropy,
+    cut_windows,
     forward,
     init_model,
     load_model,
@@ -34,7 +36,6 @@ from eegtd.model import (
     predict_occluded,
     reset_loss_clamp_count,
     save_model,
-    stack_epochs,
     standardize,
     train,
     _elu,
@@ -181,40 +182,39 @@ class TestStandardize:
         assert np.array_equal(x, before)
 
 
-def random_epochs(n, shape=(3, 20), seed=0):
+def random_windows(n, shape=(3, 20), seed=0):
+    """n random float32 windows (n, *shape)."""
     rng = np.random.default_rng(seed)
-    return [
-        Epoch((rng.standard_normal(shape) * 5 + 2).astype(np.float32), ClassId(i % 3), i)
-        for i in range(n)
-    ]
+    return np.stack([(rng.standard_normal(shape) * 5 + 2).astype(np.float32)
+                     for _ in range(n)])
+
+
+def stacked(windows):
+    return cut_windows(windows.samples, windows.window_len, windows.starts)
 
 
 class TestStackEpochs:
+    """`cut_windows`, the one cutter every path stacks its windows with."""
+
     def test_chunked_stack_equals_whole_stack_bit_for_bit(self):
-        epochs = random_epochs(2 * STACK_CHUNK + 1)
-        epochs[STACK_CHUNK + 3] = Epoch(np.full((3, 20), 4.0, np.float32), ClassId(1), 0)
-        x, y = stack_epochs(epochs)
-        ref = standardize(np.stack([ep.data for ep in epochs]).astype(np.float64))
+        data = random_windows(2 * STACK_CHUNK + 1)
+        data[STACK_CHUNK + 3] = np.full((3, 20), 4.0, np.float32)
+        labels = np.arange(len(data)) % 3
+        windows = windows_end_to_end(data, labels)
+        x = stacked(windows)
+        ref = standardize(data.astype(np.float64))
         assert x.dtype == np.float64
         assert np.array_equal(x, ref)
-        assert np.array_equal(y, [int(ep.label) for ep in epochs])
-
-    @pytest.mark.parametrize("bad", [STACK_CHUNK, STACK_CHUNK + 1])
-    def test_shape_mismatch_names_the_epoch(self, bad):
-        epochs = random_epochs(2 * STACK_CHUNK)
-        # (3, 1) would broadcast into a (3, 20) slot of the output.
-        epochs[bad] = Epoch(np.ones((3, 1), np.float32), ClassId(0), 0)
-        with pytest.raises(ValueError, match=f"epoch {bad} has shape"):
-            stack_epochs(epochs)
+        assert np.array_equal(windows.labels, labels)
 
     def test_peak_memory_near_output_size(self):
         rng = np.random.default_rng(4)
         n, c, t = 1000, 32, 250
         rec = rng.standard_normal((c, n * 25 + t)).astype(np.float32)
-        epochs = [Epoch(rec[:, i * 25 : i * 25 + t], ClassId(0), i * 25) for i in range(n)]
+        windows = Windows(rec, t, np.arange(n) * 25, np.zeros(n))
         tracemalloc.start()
         try:
-            x, _ = stack_epochs(epochs)
+            x = stacked(windows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -478,8 +478,8 @@ class TestStageBTargetRows:
         pa, pb = _softmax2(la), _softmax2(lb)
         dla = (pa - np.eye(2)[target.astype(int)]) / b
         dlb = np.where(target[:, None], pb - np.eye(2)[np.maximum(labels - 1, 0)], 0.0) / b
-        ref_a, dx_a = _stage_backward(model.stage_a, cfg, cache_a, dla, need_input_grad=True)
-        ref_b, dx_b = _stage_backward(model.stage_b, cfg, cache_b, dlb, need_input_grad=True)
+        ref_a, dx_a = _stage_backward(cfg, cache_a, dla, need_input_grad=True)
+        ref_b, dx_b = _stage_backward(cfg, cache_b, dlb, need_input_grad=True)
 
         ref_loss = cross_entropy(compose_probs(pa, pb), labels).mean()
         assert mean_loss == ref_loss
@@ -592,12 +592,13 @@ def make_toy_epochs(n_per_class=40, seed=0):
     """Noise-free separable windows: distinct fixed spatiotemporal patterns."""
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((3, 3, 20))
-    epochs = []
+    data, labels = [], []
     for c in (0, 1, 2):
         for i in range(n_per_class):
             jitter = 0.05 * rng.standard_normal((3, 20))
-            epochs.append(Epoch((base[c] + jitter).astype(np.float32), ClassId(c), i))
-    return epochs
+            data.append((base[c] + jitter).astype(np.float32))
+            labels.append(c)
+    return windows_end_to_end(data, labels)
 
 
 class TestTraining:
@@ -607,8 +608,8 @@ class TestTraining:
         cfg = TrainConfig(batch_size=32, epochs=60, seed=5)
         trained, trace = train(model, epochs, cfg)
         assert trace[-1] < trace[0]
-        x = np.stack([standardize(e.data) for e in epochs])
-        y = np.array([int(e.label) for e in epochs])
+        x = stacked(epochs)
+        y = epochs.labels
         pred, _ = predict_batch(trained, x)
         cm = ConfusionMatrix()
         for t, p in zip(y, pred):
@@ -646,7 +647,8 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            train(init_model(TINY, seed=3), [], TrainConfig())
+            train(init_model(TINY, seed=3), windows_end_to_end(np.empty((0, 3, 20)), []),
+                  TrainConfig())
 
 
 class TestCalibrate:
@@ -659,7 +661,8 @@ class TestCalibrate:
 
     def test_empty_calibration_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            calibrate(init_model(TINY, seed=3), [], TrainConfig(seed=1))
+            calibrate(init_model(TINY, seed=3), windows_end_to_end(np.empty((0, 3, 20)), []),
+                      TrainConfig(seed=1))
 
     def test_deterministic(self):
         model = init_model(TINY, seed=3)
@@ -679,8 +682,8 @@ class TestCalibrate:
         )
 
         def score(m, epochs):
-            x = np.stack([standardize(e.data) for e in epochs])
-            y = np.array([int(e.label) for e in epochs])
+            x = stacked(epochs)
+            y = epochs.labels
             pred, _ = predict_batch(m, x)
             cm = ConfusionMatrix()
             for t, p in zip(y, pred):
