@@ -73,6 +73,8 @@ class Recording:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
         if self.samples.ndim != 2:
             raise ValueError("samples must be a 2-D [n_channels x n_samples] matrix")
+        if self.samples.shape[0] == 0:
+            raise ValueError("recording has zero channels")
         if not (np.isfinite(self.sampling_rate) and self.sampling_rate > 0):
             raise ValueError(f"sampling_rate must be positive, got {self.sampling_rate}")
         if len(set(self.channel_names)) != len(self.channel_names):
@@ -266,14 +268,11 @@ def read_recording(source: BinaryIO) -> Recording:
         raise FormatError(f"unsupported EEGR version {version}")
     if not (np.isfinite(rate) and rate > 0):
         raise FormatError(f"invalid sampling rate {rate}")
-    if n_channels == 0:
-        raise FormatError("recording declares zero channels")
     names = read_names(source, n_channels)
     payload = read_exact(source, 4 * n_channels * n_samples, "sample payload")
-    samples = (
-        np.frombuffer(payload, dtype="<f4").reshape(n_samples, n_channels).T.copy()
-    )
+    # With zero channels nothing is read, and a huge n_samples fails here.
     try:
+        samples = np.frombuffer(payload, "<f4").reshape(n_samples, n_channels).T.copy()
         return Recording(rate, names, samples)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -1,7 +1,8 @@
 """Asynchronous real-time layer: the ESP wire protocol for streamed EEG
 with event markers, a wall-clock-paced replay server, a validating client,
 and online inference: `OnlineEngine` scores the sliding windows of one
-`HierarchicalModel`, and its `Debouncer` turns the scores into detections.
+`HierarchicalModel` from a `FrameTail` of the stream's last w - 1 frames,
+and its `Debouncer` turns the scores into detections.
 
 The client runs in one thread. It feeds each socket read (up to
 RECV_BYTES) to a byte-fed `EspStreamReader` and hands its sink the Data
@@ -159,7 +160,9 @@ def _decode_start(payload: bytes) -> StartMessage:
     return StartMessage(rate, tuple(names))
 
 
-def _decode_data(payload: bytes, n_channels: int) -> DataMessage:
+def _decode_data(payload: bytearray, n_channels: int) -> DataMessage:
+    """The Data message in `payload`; its frames are a view of `payload`,
+    which the reader's `_take` gives each message as its own copy."""
     if len(payload) < 12:
         raise ProtocolError("Data payload too short")
     block_index, n_frames = struct.unpack_from("<QI", payload, 0)
@@ -169,11 +172,9 @@ def _decode_data(payload: bytes, n_channels: int) -> DataMessage:
     nbytes = 4 * n_frames * n_channels
     if pos + nbytes + 4 > len(payload):
         raise ProtocolError(f"Data payload truncated in block {block_index}")
-    frames = (
-        np.frombuffer(payload, dtype="<f4", count=n_frames * n_channels, offset=pos)
-        .reshape(n_frames, n_channels)
-        .copy()
-    )
+    frames = np.frombuffer(
+        payload, dtype="<f4", count=n_frames * n_channels, offset=pos
+    ).reshape(n_frames, n_channels)
     if not np.isfinite(frames).all():
         raise ProtocolError(f"non-finite sample in block {block_index}")
     pos += nbytes
@@ -208,7 +209,7 @@ class EspStreamReader:
         self._buf = bytearray()
         self._started = False
         self._stopped = False
-        self._next_block = 0
+        self.blocks_delivered = 0
         self._n_channels = 0
         self.frames_delivered = 0
 
@@ -248,11 +249,11 @@ class EspStreamReader:
                 if (payload := self._take(mtype, length, limit)) is None:
                     break
                 msg = _decode_data(payload, self._n_channels)
-                if msg.block_index != self._next_block:
+                if msg.block_index != self.blocks_delivered:
                     raise ProtocolError(
-                        f"block index {msg.block_index}, expected {self._next_block}"
+                        f"block index {msg.block_index}, expected {self.blocks_delivered}"
                     )
-                self._next_block += 1
+                self.blocks_delivered += 1
                 self.frames_delivered += msg.n_frames
             elif mtype == MSG_STOP:
                 if not self._started:
@@ -437,7 +438,6 @@ def client_receive(
     host, port = _parse_endpoint(endpoint)
     t_start = time.monotonic()
     reader = EspStreamReader()
-    n_blocks = 0
     messages: list[EspMessage] = []
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         while not (messages and isinstance(messages[-1], StopMessage)):
@@ -452,7 +452,6 @@ def client_receive(
                 raise ProtocolError("stream did not begin with Start")
             burst = [msg for msg in messages if isinstance(msg, DataMessage)]
             if burst:
-                n_blocks += len(burst)
                 sink(burst)
     stop = messages[-1]
     if stop.total_samples != reader.frames_delivered:
@@ -462,45 +461,30 @@ def client_receive(
         )
     return StreamSummary(
         total_frames=reader.frames_delivered,
-        n_blocks=n_blocks,
+        n_blocks=reader.blocks_delivered,
         gaps=0,
         wall_seconds=time.monotonic() - t_start,
     )
 
 
-class RingBuffer:
-    """Per-channel circular storage with an absolute write head."""
+class FrameTail:
+    """The last `keep` frames of a stream, channel-major, and the count of
+    every frame appended."""
 
-    def __init__(self, n_channels: int, capacity: int):
-        if capacity < 1 or n_channels < 1:
-            raise ValueError("capacity and n_channels must be >= 1")
-        self.capacity = capacity
-        self._buf = np.zeros((n_channels, capacity), dtype=np.float32)
+    def __init__(self, n_channels: int, keep: int):
+        self.keep = keep
+        self.samples = np.zeros((n_channels, 0), dtype=np.float32)
         self.write_head = 0
 
-    def write(self, frames: np.ndarray) -> None:
-        """Append sample-major frames (k, n_channels)."""
-        frames = np.asarray(frames)
-        k = frames.shape[0]
-        if k == 0:
-            return
-        if k > self.capacity:
-            frames = frames[-self.capacity :]
-            self.write_head += k - self.capacity
-            k = self.capacity
-        pos = (self.write_head + np.arange(k)) % self.capacity
-        self._buf[:, pos] = frames.T
-        self.write_head += k
-
-    def read_last(self, k: int) -> np.ndarray:
-        """The most recent k samples, oldest first, as C-ordered
-        (n_channels, k)."""
-        if k > self.capacity:
-            raise ValueError(f"cannot read {k} samples from capacity {self.capacity}")
-        if k > self.write_head:
-            raise ValueError(f"only {self.write_head} samples written, wanted {k}")
-        pos = (self.write_head - k + np.arange(k)) % self.capacity
-        return self._buf.take(pos, axis=1)
+    def append(self, frames: np.ndarray) -> tuple[int, np.ndarray]:
+        """(first, x): the kept frames followed by sample-major `frames` as
+        one (n_channels, kept + k) float32 array, and the stream index of
+        x's first column. The last `keep` columns of x are kept, copied."""
+        x = np.concatenate((self.samples, frames.T), axis=1, dtype=np.float32)
+        first = self.write_head - self.samples.shape[1]
+        self.write_head += frames.shape[0]
+        self.samples = x[:, max(x.shape[1] - self.keep, 0) :].copy()
+        return first, x
 
 
 @dataclass(frozen=True)
@@ -565,13 +549,15 @@ class OnlineEngine:
     """Sliding-window detector over an incoming frame stream.
 
     Every `infer_stride` new frames (once a full window is buffered) the
-    latest window is scored. A `push` cuts every window its frames complete
-    with `cut_windows`, the cutter training and analysis use, and scores
-    them in one `predict_batch`, whose rows do not depend on the batch, so
-    neither do the detections on how the stream is split into pushes.
-    Windows are standardized in float64 and scored in float32; the model's
-    gradients (training) stay float64. The rows then go through the
-    engine's `Debouncer` in stream order.
+    latest window is scored. Between pushes the engine holds at most
+    w - 1 frames, the most a window completed by later frames can reach
+    back. A `push` appends its frames to that tail, cuts every window they
+    complete with `cut_windows`, the cutter training and analysis use, and
+    scores them in one `predict_batch`, whose rows do not depend on the
+    batch, so neither do the detections on how the stream is split into
+    pushes. Windows are standardized in float64 and scored in float32; the
+    model's gradients (training) stay float64. The rows then go through
+    the engine's `Debouncer` in stream order.
     """
 
     def __init__(self, model: HierarchicalModel, cfg: OnlineConfig):
@@ -579,7 +565,8 @@ class OnlineEngine:
         self.cfg = cfg
         self.window_len = model.config.window_len
         self.n_channels = model.config.n_channels
-        self.ring = RingBuffer(self.n_channels, 4 * self.window_len)
+        # Named `ring` because perfbench's probe reads `ring.write_head`.
+        self.ring = FrameTail(self.n_channels, self.window_len - 1)
         self._next_eval = self.window_len
         self._debouncer = Debouncer(cfg)
         self.detections: list[Detection] = []
@@ -600,17 +587,12 @@ class OnlineEngine:
         if not np.isfinite(frames).all():
             raise ProtocolError("non-finite sample in frames")
         w, stride = self.window_len, self.cfg.infer_stride
-        head = self.ring.write_head
-        ends = range(self._next_eval, head + frames.shape[0] + 1, stride)
-        # The first window these frames complete starts at most w - 1
-        # buffered samples back.
-        tail = self.ring.read_last(min(w - 1, head))
-        self.ring.write(frames)
+        first, x = self.ring.append(frames)
+        ends = range(self._next_eval, self.ring.write_head + 1, stride)
         if not ends:
             return []
         self._next_eval = ends[-1] + stride
-        x = np.concatenate((tail, frames.T), axis=1, dtype=np.float32)
-        starts = np.array(ends) - w - (head - tail.shape[1])
+        starts = np.array(ends) - w - first
         probs = predict_batch(self.model, cut_windows(x, w, starts).astype(np.float32))[1]
         emitted = []
         for now, row in zip(ends, probs):

@@ -53,6 +53,11 @@ class TestRecordingType:
         with pytest.raises(ValueError):
             Recording(250.0, ["Cz"], np.zeros((2, 4)))
 
+    def test_zero_channels_rejected(self):
+        # write_recording would write a header that read_recording rejects.
+        with pytest.raises(ValueError, match="zero channels"):
+            Recording(250.0, [], np.zeros((0, 100)))
+
 
 class TestEpochType:
     """`Windows`, the labeled set of epochs cut from one sample array."""
@@ -138,6 +143,12 @@ class TestEegrFormat:
         data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         with pytest.raises(FormatError):
             read_recording(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("n_samples", [0, 100, 1 << 62, (1 << 64) - 1])
+    def test_zero_channel_header_rejected(self, n_samples):
+        blob = b"EEGR" + struct.pack("<IdIQ", 1, 250.0, 0, n_samples)
+        with pytest.raises(FormatError):
+            read_recording(io.BytesIO(blob))
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(min_size=0, max_size=200))

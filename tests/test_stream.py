@@ -1,4 +1,4 @@
-"""ESP codec, ring buffer, replay server/client over localhost, the
+"""ESP codec, frame tail, replay server/client over localhost, the
 online engine and its debouncer."""
 
 import socket
@@ -19,6 +19,7 @@ from eegtd.stream import (
     DataMessage,
     Debouncer,
     EspStreamReader,
+    FrameTail,
     MAX_BLOCK_FRAMES,
     MAX_CHANNELS,
     MAX_START_PAYLOAD,
@@ -27,7 +28,6 @@ from eegtd.stream import (
     ProtocolError,
     RECV_BYTES,
     ReplayServer,
-    RingBuffer,
     StartMessage,
     StopMessage,
     StreamSummary,
@@ -185,15 +185,16 @@ class TestStartLimits:
 
     @pytest.mark.parametrize("names, message", UNREADABLE_STARTS)
     def test_replay_server_rejects_before_binding(self, names, message, monkeypatch):
-        rec = Recording(250.0, names, np.zeros((len(names), 10)))
         schedule = EventSchedule(10, 250.0, [], [])
 
         def no_socket(*args, **kwargs):
             raise AssertionError("socket opened")
 
         monkeypatch.setattr(stream.socket, "socket", no_socket)
+        if not names:  # no Recording has zero channels to serve
+            message = "recording has zero channels"
         with pytest.raises(ValueError, match=message):
-            ReplayServer(rec, schedule)
+            ReplayServer(Recording(250.0, names, np.zeros((len(names), 10))), schedule)
 
     def test_most_channels_round_trip(self):
         msg = StartMessage(250.0, tuple(f"ch{i}" for i in range(MAX_CHANNELS)))
@@ -239,57 +240,35 @@ class TestStartMessage:
             decode(b"ESP1" + struct.pack("<IQ", 9, 0))
 
 
-class TestRingBuffer:
-    def test_read_back_recent(self):
-        ring = RingBuffer(2, 8)
-        frames = np.arange(20, dtype=np.float32).reshape(10, 2)
-        ring.write(frames)
-        out = ring.read_last(8)
-        assert np.array_equal(out, frames[-8:].T)
-        assert ring.write_head == 10
-
-    def test_read_more_than_written(self):
-        ring = RingBuffer(1, 8)
-        ring.write(np.ones((3, 1), dtype=np.float32))
-        with pytest.raises(ValueError):
-            ring.read_last(4)
-
-    def test_read_more_than_capacity(self):
-        ring = RingBuffer(1, 4)
-        ring.write(np.ones((8, 1), dtype=np.float32))
-        with pytest.raises(ValueError):
-            ring.read_last(5)
+class TestFrameTail:
+    def test_append_returns_tail_then_frames(self):
+        tail = FrameTail(2, 3)
+        frames = np.arange(24, dtype=np.float32).reshape(12, 2)
+        first, x = tail.append(frames[:10])
+        assert first == 0
+        assert np.array_equal(x, frames[:10].T)
+        assert np.array_equal(tail.samples, frames[7:10].T)
+        first, x = tail.append(frames[10:])
+        assert first == 7
+        assert np.array_equal(x, frames[7:].T)
+        assert tail.write_head == 12
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("write"), st.integers(1, 7)),
-                st.tuples(st.just("read"), st.integers(1, 10)),
-            ),
-            max_size=30,
-        )
-    )
-    def test_matches_shadow_list(self, ops):
-        capacity = 10
-        ring = RingBuffer(2, capacity)
-        shadow: list[np.ndarray] = []
-        counter = [0]
-        for op, n in ops:
-            if op == "write":
-                block = np.arange(counter[0], counter[0] + 2 * n, dtype=np.float32)
-                counter[0] += 2 * n
-                frames = block.reshape(n, 2)
-                ring.write(frames)
-                shadow.extend(frames)
-            else:
-                avail = min(len(shadow), capacity)
-                if n > avail:
-                    with pytest.raises(ValueError):
-                        ring.read_last(n)
-                else:
-                    expected = np.stack(shadow[-n:]).T
-                    assert np.array_equal(ring.read_last(n), expected)
+    @given(st.integers(0, 12), st.lists(st.integers(0, 15), max_size=20))
+    def test_matches_shadow_list(self, keep, sizes):
+        tail = FrameTail(2, keep)
+        shadow = np.zeros((0, 2))
+        for k in sizes:
+            total = len(shadow) + k
+            frames = np.arange(2 * len(shadow), 2 * total, dtype=np.float64).reshape(k, 2)
+            shadow = np.concatenate((shadow, frames))
+            first, x = tail.append(frames)
+            assert first == max(total - k - keep, 0)
+            assert x.dtype == np.float32
+            assert np.array_equal(x, shadow[first:].T)
+            assert np.array_equal(tail.samples, shadow[total - min(keep, total) :].T)
+            assert not np.shares_memory(tail.samples, x)
+            assert tail.write_head == total
 
 
 class TestReplayServer:
@@ -311,11 +290,19 @@ class TestReplayServer:
             summary = client_receive((server.host, server.port), sink)
         return np.concatenate(frames, axis=0), markers, summary
 
-    def test_block_arithmetic_one_second(self):
+    def test_block_arithmetic_one_second(self, monkeypatch):
+        readers = []
+
+        class Recorded(EspStreamReader):
+            def __init__(self):
+                super().__init__()
+                readers.append(self)
+
+        monkeypatch.setattr(stream, "EspStreamReader", Recorded)
         rec = make_recording(250)
         schedule = EventSchedule(250, 250.0, [], [])
         frames, _, summary = self.collect_stream(rec, schedule, speed=float("inf"))
-        assert summary.n_blocks == 25
+        assert summary.n_blocks == readers[0].blocks_delivered == 25
         assert summary.total_frames == 250
         assert frames.shape == (250, 3)
 
@@ -601,6 +588,15 @@ class TestOnlineEngine:
         a, b, c = runs
         assert a == b == c
         assert len(a) >= 5
+
+    def test_holds_at_most_w_minus_1_frames(self):
+        engine = OnlineEngine(init_model(NetConfig(n_channels=2), seed=2), OnlineConfig())
+        w = engine.window_len
+        rng = np.random.default_rng(0)
+        for n in (1, 7, 113, 5 * w):
+            engine.push(rng.standard_normal((n, 2)))
+            assert engine.ring.samples.shape[1] <= w - 1
+        assert engine.ring.write_head == 121 + 5 * w
 
     @pytest.mark.parametrize("bad, match", [
         (np.zeros(2), "real \\(n, 2\\) array"),
