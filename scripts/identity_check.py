@@ -23,8 +23,10 @@ Every hashed output is kept under --out-dir. Pass --against with the
 reported with the size of the difference (detections.csv by time and class,
 arrays, recordings and model parameters by their largest relative
 difference), and the exit status is 1 if any output differs, 0 if none
-does. The last line is the process's peak RSS, for information only:
---against does not compare it.
+does. The process's peak RSS so far is printed after each stage (A1 at 3
+epochs, A1 at 30, video2n training, the analyses), so a memory change
+shows which stage sets the peak, and once more at the end. These lines are
+for information only: --against does not compare them.
 
 Usage:
     PYTHONPATH=src python scripts/identity_check.py --out-dir ids-new \\
@@ -82,6 +84,7 @@ def run_a1(out: Path) -> list[Path]:
                                         "loss_trace.csv", "detections.csv")]
         if epochs == A1_EPOCHS[0]:
             files.append(capture_session(workdir))
+        print_peak_rss(f"A1 at {epochs} epochs")
     return files
 
 
@@ -110,6 +113,7 @@ def run_saliency(out: Path) -> list[Path]:
         n_train_sessions=TRAIN_SESSIONS,
     )
     model, _ = pretrain_model(cfg)
+    print_peak_rss("video2n training")
     rec, schedule = generate_session(cfg, child_seed(SEED, "test-session"))
     epochs = build_eval_dataset(rec, schedule, DatasetConfig(), seed=SEED)
     workdir = out / "saliency"
@@ -122,9 +126,17 @@ def run_saliency(out: Path) -> list[Path]:
     occ = occlusion_saliency(model, epochs, MetricConfig())
     np.save(workdir / "occlusion.npy", np.append(occ.importance, occ.baseline_score))
     np.save(workdir / "gradient.npy", gradient_saliency(model, epochs))
+    print_peak_rss("analyses")
     return [workdir / n
             for n in ("test.eegr", "model.hmdl", "evaluate.txt", "occlusion.npy",
                       "gradient.npy")]
+
+
+def print_peak_rss(stage: str) -> None:
+    # ru_maxrss is in KiB on Linux.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak_mb:.0f} MB after {stage} (informational, not compared)",
+          flush=True)
 
 
 def sha256(path: Path) -> str:
@@ -183,9 +195,7 @@ def main() -> int:
         print(line)
     if args.against is not None:
         print(f"{differ} of {len(files)} outputs differ from {args.against}")
-    # ru_maxrss is in KiB on Linux.
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS {peak_mb:.0f} MB (informational, not compared)")
+    print_peak_rss("all stages")
     return 1 if differ else 0
 
 

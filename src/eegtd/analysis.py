@@ -143,17 +143,17 @@ def _score_windows(
     return macro_f_beta(cm, cfg), cm
 
 
-def _stacked(windows: Windows) -> np.ndarray:
-    return cut_windows(windows.samples, windows.window_len, windows.starts)
+def _scoring_windows(windows: Windows) -> np.ndarray:
+    return cut_windows(windows.samples, windows.window_len, windows.starts, np.float32)
 
 
 def evaluate_epochs(
     model: HierarchicalModel, windows: Windows, cfg: MetricConfig
 ) -> tuple[float, ConfusionMatrix]:
     """Window-level macro F_beta of the model over a labeled window set.
-    Scoring is float32: the standardized windows are cast once. Gradients
-    (training, `gradient_saliency`) stay float64."""
-    return _score_windows(model, _stacked(windows).astype(np.float32), windows.labels, cfg)
+    Scoring is float32: windows are standardized in float64 and stored as
+    float32. Gradients (training, `gradient_saliency`) stay float64."""
+    return _score_windows(model, _scoring_windows(windows), windows.labels, cfg)
 
 
 def occlusion_saliency(
@@ -164,9 +164,8 @@ def occlusion_saliency(
     by `predict_occluded`, which subtracts each channel's share of one linear
     front-end pass per stage and chunk; its labels are the zeroed copy's
     except where a window's top two classes tie to float32 rounding.
-    Scoring is float32, as in `evaluate_epochs`: the standardized windows
-    are cast once."""
-    x, y = _stacked(windows).astype(np.float32), windows.labels
+    Scoring is float32, as in `evaluate_epochs`."""
+    x, y = _scoring_windows(windows), windows.labels
     baseline, _ = _score_windows(model, x, y, cfg)
     importance = [
         baseline - macro_f_beta(window_confusion(y, probs.argmax(axis=1)), cfg)
@@ -177,15 +176,19 @@ def occlusion_saliency(
 
 def gradient_saliency(model: HierarchicalModel, windows: Windows) -> np.ndarray:
     """Mean absolute input gradient of the loss per channel, dropout
-    disabled; computed in float64, like training."""
-    x, y = _stacked(windows), windows.labels
-    total = np.zeros(x.shape[1])
-    for lo in range(0, x.shape[0], GRADIENT_CHUNK):
-        hi = min(lo + GRADIENT_CHUNK, x.shape[0])
+    disabled; computed in float64, like training, one GRADIENT_CHUNK of
+    windows cut at a time."""
+    n = len(windows)
+    if n == 0:
+        raise ValueError("empty window set: gradient saliency needs a non-empty one")
+    total = np.zeros(windows.samples.shape[0])
+    for lo in range(0, n, GRADIENT_CHUNK):
+        hi = min(lo + GRADIENT_CHUNK, n)
+        x = cut_windows(windows.samples, windows.window_len, windows.starts[lo:hi])
         # backward averages over the batch, so rescale with the size.
-        _, _, dx = backward(model, x[lo:hi], y[lo:hi], need_input_grad=True)
+        _, _, dx = backward(model, x, windows.labels[lo:hi], need_input_grad=True)
         total += np.abs(dx * (hi - lo)).mean(axis=2).sum(axis=0)
-    return total / x.shape[0]
+    return total / n
 
 
 def write_erp_csv(result: ErpAverages, destination: TextIO) -> None:

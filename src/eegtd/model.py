@@ -29,19 +29,23 @@ channel's share: the zeroed copy's labels, unless two classes tie to the
 input dtype's rounding (~1e-15 in float64, ~1e-7 in float32).
 
 The model's API takes batches of standardized windows (B, C, T); one window
-is a 1-row batch. `cut_windows` is the one cutter that makes them, from a
-`core.Windows` set in training and analysis and from the online engine's
-buffer, so a window has the same bits online and offline. `forward` gives
-the composed probabilities (B, 3), `cross_entropy` each row's loss, and
-`backward` the gradients of their mean. Every kernel computes in the dtype
-of its input: each call casts the parameters, which stay float64 in memory
-and on disk, to the windows' dtype, so float32 windows run float32 end to
-end and float64 windows give float64 bits. Scoring (the online engine,
-window evaluation and occlusion) passes float32 windows; training,
-calibration and input-gradient saliency pass float64. Gradients are
-hand-derived reverse mode; `backward` is checked against central finite
-differences in the tests. Training is Adam with decoupled weight decay and
-is bit-deterministic given (seed, data, config).
+is a 1-row batch. `forward` gives the composed probabilities (B, 3),
+`cross_entropy` each row's loss, and `backward` the gradients of their mean.
+`cut_windows` cuts windows from a `core.Windows` set in analysis and from the
+online engine's buffer. Training never stacks its set: it computes each
+window's per-channel mean and std once and cuts each batch from the samples
+into one reused buffer. Both cutters take each row's mean and std from
+`_centre` and divide and zero flat rows in `_scale`, so a window has the same
+bits in training, analysis and online. Every kernel computes in the dtype of
+its input: each call casts the parameters, which stay float64 in memory and
+on disk, to the windows' dtype, so float32 windows run float32 end to end and
+float64 windows give float64 bits. Windows are always standardized in
+float64; scoring (the online engine, window evaluation and occlusion) has
+`cut_windows` store them as float32, while training, calibration and
+input-gradient saliency pass float64. Gradients are hand-derived reverse
+mode; `backward` is checked against central finite differences in the tests.
+Training is Adam with decoupled weight decay and is bit-deterministic given
+(seed, data, config).
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ HMDL_HEADER = struct.Struct("<IIIIIIIdI")
 LOSS_EPS = 1e-12
 # Windows per forward pass in predict_batch; bounds its activation memory.
 PREDICT_CHUNK = 256
-# Windows cut and standardized at a time by cut_windows; its temporaries
-# stay a small fraction of the (N, C, T) float64 output.
+# Windows cut and standardized at a time by cut_windows and by training's
+# per-window stats pass; their float64 temporaries stay a small fraction of
+# the (N, C, T) output or of the set's float32 samples.
 STACK_CHUNK = 64
 # Output bytes per row chunk of a lag-conv sum (`_lag_conv`,
 # `_lag_conv_input_grad`): the chunk's running sum and its one product
@@ -221,32 +226,78 @@ class TrainConfig:
                              f"({self.weight_decay}) must be finite and >= 0")
 
 
+def _centre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre float64 rows (last axis) in place; return their means and
+    population stds."""
+    mu = x.mean(axis=-1, keepdims=True)
+    x -= mu
+    # np.std's own steps on the rows already centred: the same bits.
+    return mu, np.sqrt(np.square(x).mean(axis=-1, keepdims=True))
+
+
+def _scale(x: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Divide centred rows by their std in place; near-constant rows map to 0."""
+    flat = sd < 1e-9
+    x /= np.where(flat, 1.0, sd)
+    if flat.any():  # a masked copy costs a pass over x; most batches have no flat row
+        np.copyto(x, 0.0, where=flat)
+    return x
+
+
 def standardize(epoch_data: np.ndarray) -> np.ndarray:
     """Zero-mean unit-std rows along the last axis (population std), for one
     window (C, T) or a stack (N, C, T); near-constant rows map to 0."""
     x = np.array(epoch_data, dtype=np.float64)
-    x -= x.mean(axis=-1, keepdims=True)
-    # np.std's own steps on the rows already centred: the same bits.
-    sd = np.sqrt(np.square(x).mean(axis=-1, keepdims=True))
-    flat = sd < 1e-9
-    x /= np.where(flat, 1.0, sd)
-    np.copyto(x, 0.0, where=flat)
-    return x
+    return _scale(x, _centre(x)[1])
 
 
-def cut_windows(samples: np.ndarray, window_len: int, starts: np.ndarray) -> np.ndarray:
-    """Standardized float64 windows (N, C, window_len) of samples (C, S):
-    row i is samples[:, starts[i] : starts[i] + window_len]."""
+def _centred_chunks(samples: np.ndarray, window_len: int, starts: np.ndarray):
+    """Yield (rows, x, mu, sd) per STACK_CHUNK windows of samples (C, S):
+    x is windows starts[rows] in float64, centred, with their means and stds."""
     if len(starts) == 0:
         raise ValueError("empty window set: training and evaluation need a non-empty one")
     # The gather copies each window out C-ordered, as a slice would be, and
     # rows standardize independently: chunks give one whole stack's bits.
     view = sliding_window_view(samples, window_len, axis=1).transpose(1, 0, 2)
-    x = np.empty((len(starts), samples.shape[0], window_len))
     for lo in range(0, len(starts), STACK_CHUNK):
-        chunk = starts[lo : lo + STACK_CHUNK]
-        x[lo : lo + len(chunk)] = standardize(view[chunk])
+        x = view[starts[lo : lo + STACK_CHUNK]].astype(np.float64)
+        yield slice(lo, lo + len(x)), x, *_centre(x)
+
+
+def cut_windows(
+    samples: np.ndarray, window_len: int, starts: np.ndarray, dtype=np.float64
+) -> np.ndarray:
+    """Standardized windows (N, C, window_len) of samples (C, S), computed in
+    float64 and stored as `dtype`: row i is samples[:, starts[i] : starts[i] +
+    window_len]. A float32 result rounds as `.astype(np.float32)` would."""
+    x = np.empty((len(starts), samples.shape[0], window_len), dtype)
+    for rows, chunk, _, sd in _centred_chunks(samples, window_len, starts):
+        x[rows] = _scale(chunk, sd)
     return x
+
+
+def _window_stats(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's per-channel float64 mean and std, (N, C, 1) each."""
+    shape = (len(windows), windows.samples.shape[0], 1)
+    mu, sd = np.empty(shape), np.empty(shape)
+    for rows, _, m, s in _centred_chunks(windows.samples, windows.window_len, windows.starts):
+        mu[rows], sd[rows] = m, s
+    return mu, sd
+
+
+def _cut_batch(
+    windows: Windows, idx: np.ndarray, mu: np.ndarray, sd: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Windows idx standardized into out[:len(idx)] from their `_window_stats`:
+    `cut_windows(windows.samples, windows.window_len, windows.starts[idx])`'s
+    bits, without a float64 copy of the set."""
+    x, w = out[: len(idx)], windows.window_len
+    # Widen each window to float64, then centre: standardize's steps. A copy
+    # per row and one subtract beat a casting subtract per row.
+    for row, s in zip(x, windows.starts[idx]):
+        row[...] = windows.samples[:, s : s + w]
+    x -= mu[idx]
+    return _scale(x, sd[idx])
 
 
 def _elu(z: np.ndarray) -> np.ndarray:
@@ -613,13 +664,17 @@ def train(
     model: HierarchicalModel, windows: Windows, cfg: TrainConfig
 ) -> tuple[HierarchicalModel, list[float]]:
     """Adam with decoupled weight decay on a copy of `model`, over the
-    windows cut by `cut_windows`.
+    windows standardized as `cut_windows` does. Each batch is cut from
+    `windows.samples` into one reused float64 buffer using every window's
+    mean and std, computed once, so no float64 copy of the set is made.
 
     Returns the trained copy and the per-epoch mean loss trace. Shuffling and
     dropout streams derive from cfg.seed, so identical inputs give
     bit-identical results.
     """
-    x, y = cut_windows(windows.samples, windows.window_len, windows.starts), windows.labels
+    mu, sd = _window_stats(windows)
+    y = windows.labels
+    batch = np.empty((min(cfg.batch_size, len(y)), windows.samples.shape[0], windows.window_len))
     model = copy.deepcopy(model)
 
     rng_shuffle = np.random.default_rng(child_seed(cfg.seed, "shuffle"))
@@ -636,7 +691,8 @@ def train(
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            grads, mean_loss, _ = backward(model, x[idx], y[idx], rng_dropout)
+            x = _cut_batch(windows, idx, mu, sd, batch)
+            grads, mean_loss, _ = backward(model, x, y[idx], rng_dropout)
             if not np.isfinite(mean_loss):
                 raise RuntimeError(
                     f"non-finite loss {mean_loss} at step {step}; "

@@ -552,12 +552,12 @@ class OnlineEngine:
     latest window is scored. Between pushes the engine holds at most
     w - 1 frames, the most a window completed by later frames can reach
     back. A `push` appends its frames to that tail, cuts every window they
-    complete with `cut_windows`, the cutter training and analysis use, and
-    scores them in one `predict_batch`, whose rows do not depend on the
-    batch, so neither do the detections on how the stream is split into
-    pushes. Windows are standardized in float64 and scored in float32; the
-    model's gradients (training) stay float64. The rows then go through
-    the engine's `Debouncer` in stream order.
+    complete with `cut_windows`, which standardizes as training and
+    analysis do, and scores them in one `predict_batch`, whose rows do not
+    depend on the batch, so neither do the detections on how the stream is
+    split into pushes. Windows are standardized in float64 and scored in
+    float32; the model's gradients (training) stay float64. The rows then
+    go through the engine's `Debouncer` in stream order.
     """
 
     def __init__(self, model: HierarchicalModel, cfg: OnlineConfig):
@@ -593,7 +593,7 @@ class OnlineEngine:
             return []
         self._next_eval = ends[-1] + stride
         starts = np.array(ends) - w - first
-        probs = predict_batch(self.model, cut_windows(x, w, starts).astype(np.float32))[1]
+        probs = predict_batch(self.model, cut_windows(x, w, starts, np.float32))[1]
         emitted = []
         for now, row in zip(ends, probs):
             det = self._debouncer.step(now, row)

@@ -273,6 +273,26 @@ class TestGradientSaliency:
         epochs = informative_channel_epochs(n_per_class=5)
         assert np.array_equal(gradient_saliency(model, epochs), np.zeros(4))
 
+    def test_chunked_cut_equals_whole_stack_bit_for_bit(
+        self, trained_single_channel_model, monkeypatch
+    ):
+        model, epochs = trained_single_channel_model
+        chunk = 32
+        assert len(epochs) % chunk  # several chunks, the last one short
+        monkeypatch.setattr(analysis, "GRADIENT_CHUNK", chunk)
+        x, y = cut_windows(epochs.samples, epochs.window_len, epochs.starts), epochs.labels
+        total = np.zeros(x.shape[1])
+        for lo in range(0, len(x), chunk):
+            xc, yc = x[lo : lo + chunk], y[lo : lo + chunk]
+            _, _, dx = backward(model, xc, yc, need_input_grad=True)
+            total += np.abs(dx * len(xc)).mean(axis=2).sum(axis=0)
+        assert np.array_equal(gradient_saliency(model, epochs), total / len(x))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            gradient_saliency(init_model(TINY, seed=4),
+                              windows_end_to_end(np.empty((0, 4, 40)), []))
+
     def test_matches_finite_differences_on_coordinates(self, trained_single_channel_model):
         model, epochs = trained_single_channel_model
         one = slice(40, 41)  # a class-1 epoch

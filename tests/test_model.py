@@ -38,6 +38,7 @@ from eegtd.model import (
     save_model,
     standardize,
     train,
+    _cut_batch,
     _elu,
     _elu_grad,
     _lag_conv,
@@ -48,6 +49,7 @@ from eegtd.model import (
     _softmax2,
     _stage_backward,
     _stage_forward,
+    _window_stats,
 )
 
 TINY = NetConfig(
@@ -220,6 +222,57 @@ class TestStackEpochs:
             tracemalloc.stop()
         assert x.shape == (n, c, t)
         assert peak <= 1.2 * x.nbytes
+
+    def test_float32_output_rounds_as_astype(self):
+        data = random_windows(2 * STACK_CHUNK + 1)
+        data[5, 1] = 4.0
+        windows = windows_end_to_end(data, np.zeros(len(data)))
+        x = cut_windows(windows.samples, windows.window_len, windows.starts, np.float32)
+        assert x.dtype == np.float32
+        assert np.array_equal(x, stacked(windows).astype(np.float32))
+
+
+class TestTrainBatchCut:
+    """`train` cuts each batch from the samples with every window's stats,
+    computed once, instead of stacking the set."""
+
+    def test_batch_cut_equals_cut_windows_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        c, t, s = 3, 20, 400
+        rec = (rng.standard_normal((c, s)) * 5 + 2).astype(np.float32)
+        rec[1, 100:140] = 4.0  # channel 1 is flat in windows starting at 100 to 120
+        starts = np.r_[np.arange(0, s - t, 5), 110, s - t]  # the last ends at sample s - 1
+        windows = Windows(rec, t, starts, np.zeros(len(starts)))
+        assert len(windows) > STACK_CHUNK
+        mu, sd = _window_stats(windows)
+        batch_size = 16
+        out = np.empty((batch_size, c, t))
+        order = rng.permutation(len(starts))
+        batches = [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+        assert 1 < len(batches[-1]) < batch_size
+        for idx in [*batches, order[:1], np.array([len(starts) - 1])]:
+            x = _cut_batch(windows, idx, mu, sd, out)
+            assert np.array_equal(x, cut_windows(rec, t, starts[idx]))
+        flat = _cut_batch(windows, np.array([len(starts) - 2]), mu, sd, out)
+        assert np.array_equal(flat[0, 1], np.zeros(t)) and flat[0, 0].std() > 0.5
+
+    def test_train_peaks_well_below_a_float64_stack(self):
+        cfg = NetConfig(n_channels=8, window_len=100, temporal_filters=2, deep_filters=(2,),
+                        kernel_len=5, pool_len=3, dropout_rate=0.0, dense_hidden=4)
+        n = 2000
+        rng = np.random.default_rng(4)
+        rec = rng.standard_normal((cfg.n_channels, 10 * n + cfg.window_len)).astype(np.float32)
+        windows = Windows(rec, cfg.window_len, np.arange(n) * 10, np.arange(n) % 3)
+        model = init_model(cfg, seed=3)
+        stack_bytes = n * cfg.n_channels * cfg.window_len * 8
+        tracemalloc.start()
+        try:
+            train(model, windows, TrainConfig(batch_size=128, epochs=1, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About a fifth of it: batch-sized buffers and two (N, C, 1) stats arrays.
+        assert peak < stack_bytes / 2
 
 
 class TestGradients:
