@@ -92,7 +92,8 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, args: list[str]) -> list[str]:
     """Pull --config out of args and install its values as defaults of each
-    subcommand that has a flag of that name."""
+    subcommand that has a flag of that name. A value satisfies a required
+    flag, and one outside the flag's choices is a FormatError."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     found, _ = probe.parse_known_args(args)
@@ -102,9 +103,15 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, args: list[str]) -> 
     known: set[str] = set()
     for sub_action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse has no public api
         for sub in sub_action.choices.values():
-            dests = {action.dest for action in sub._actions}
-            known |= dests
-            sub.set_defaults(**{k: v for k, v in values.items() if k in dests})
+            actions = [action for action in sub._actions if action.dest in values]
+            for action in actions:
+                # argparse checks neither choices nor required on defaults.
+                if action.choices is not None and values[action.dest] not in action.choices:
+                    raise FormatError(f"config key {action.dest}: {values[action.dest]!r} is "
+                                      f"not one of {', '.join(map(repr, action.choices))}")
+                action.required = False
+            sub.set_defaults(**{action.dest: values[action.dest] for action in actions})
+            known |= {action.dest for action in actions}
     unknown = set(values) - known
     if unknown:
         raise FormatError(f"unknown config keys: {sorted(unknown)}")

@@ -221,6 +221,12 @@ def read_exact(source: BinaryIO, n: int, what: str) -> bytes:
     return b"".join(parts)
 
 
+def read_end(source: BinaryIO, what: str) -> None:
+    """FormatError unless `source` ends here, after a complete `what`."""
+    if source.read(1):
+        raise FormatError(f"trailing bytes after the {what}")
+
+
 def pack_names(names: Sequence[str]) -> bytes:
     """Each name as its u16 byte length and UTF-8 bytes; ValueError, before
     any name is packed, if one exceeds 65,535 bytes."""
@@ -270,6 +276,7 @@ def read_recording(source: BinaryIO) -> Recording:
         raise FormatError(f"invalid sampling rate {rate}")
     names = read_names(source, n_channels)
     payload = read_exact(source, 4 * n_channels * n_samples, "sample payload")
+    read_end(source, "sample payload")
     # With zero channels nothing is read, and a huge n_samples fails here.
     try:
         samples = np.frombuffer(payload, "<f4").reshape(n_samples, n_channels).T.copy()

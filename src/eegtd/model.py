@@ -14,8 +14,8 @@ Dropout masks are drawn from the rng passed in, in forward order: stage A's
 front end, each block and dense hidden layer, then stage B's in the same
 order, always at the whole batch's shape. A non-target row's loss, -log a0,
 gives stage B no gradient, so a training step runs stage B's conv layers on
-the target rows alone, and only it keeps a backward cache; eval runs every
-row and pools without argmax indices.
+the target rows alone. Training and eval run one pass, each pool a running
+maximum; eval drops the backward cache it returns.
 
 Each conv layer is a sum over its K lags of per-row matrix products. The sum
 runs one L2-sized row chunk at a time (CONV_CHUNK_BYTES of output), all K lags
@@ -59,7 +59,7 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eegtd.core import FormatError, Windows, read_exact
+from eegtd.core import FormatError, Windows, read_end, read_exact
 from eegtd.seeding import child_seed
 
 HMDL_MAGIC = b"HMDL"
@@ -314,33 +314,27 @@ def _elu_grad(z: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _maxpool(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Non-overlapping max pool along the last axis; remainder samples drop."""
-    n = a.shape[-1] // p
-    trimmed = a[..., : n * p].reshape(*a.shape[:-1], n, p)
-    idx = trimmed.argmax(axis=-1)
-    out = np.take_along_axis(trimmed, idx[..., None], axis=-1)[..., 0]
-    return out, idx, a.shape[-1]
-
-
-def _maxpool_values(a: np.ndarray, p: int) -> np.ndarray:
-    """`_maxpool`'s values alone: a running maximum over the p strided
-    views, with no argmax indices."""
+def _maxpool(a: np.ndarray, p: int) -> np.ndarray:
+    """Non-overlapping max pool along the last axis: a running maximum over the
+    p strided views; remainder samples drop. np.maximum returns its second
+    operand on a tie (-0.0 vs 0.0), so a tie keeps the earlier sample."""
     n = a.shape[-1] // p
     out = a[..., : n * p : p].copy()
     for j in range(1, p):
-        np.maximum(out, a[..., j : n * p : p], out=out)
+        np.maximum(a[..., j : n * p : p], out, out=out)
     return out
 
 
-def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, p: int, orig_len: int) -> np.ndarray:
-    """Route dout to each pool's argmax; dropped remainder samples get 0."""
-    n = dout.shape[-1]
-    grad = np.zeros((*dout.shape[:-1], orig_len), dout.dtype)
-    # Splitting the last axis of the trimmed slice is a view, so the scatter
-    # writes into grad.
-    pools = grad[..., : n * p].reshape(*dout.shape[:-1], n, p)
-    np.put_along_axis(pools, idx[..., None], dout[..., None], axis=-1)
+def _maxpool_backward(dout: np.ndarray, z: np.ndarray, zp: np.ndarray, p: int) -> np.ndarray:
+    """Gradient w.r.t. z of zp = _maxpool(z, p): each dout goes to its pool's
+    first maximum, as argmax picks ties; dropped remainder samples get 0."""
+    n = zp.shape[-1]
+    grad = np.zeros(z.shape, dout.dtype)
+    free = np.ones(zp.shape, bool)  # pools whose maximum is not yet taken
+    for j in range(p):
+        hit = (z[..., j : n * p : p] == zp) & free
+        np.copyto(grad[..., j : n * p : p], dout, where=hit)
+        free &= ~hit
     return grad
 
 
@@ -445,38 +439,32 @@ def _stage_forward(
     cfg: NetConfig,
     x: np.ndarray,
     rng: np.random.Generator | None = None,
-    keep_cache: bool = False,
     z0: np.ndarray | None = None,
     rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict | None]:
+) -> tuple[np.ndarray, dict]:
     """Logits (B, 2) and the backward cache; an rng switches dropout on.
 
     Each conv layer pools z, then applies ELU to the pooled third. The cache
-    (each layer's input, pooled z, argmax indices and dropout mask) is built
-    only with keep_cache; without it, as in eval, each pool is a running
-    maximum with no indices and the cache is None. A given z0 (B, G, T1)
-    stands in for the front end's pre-activation, bias included. Given rows,
-    the conv layers run on x[rows] alone, and the dense head on every row
-    with zero features elsewhere: its backward products, which BLAS rounds
-    by batch shape, keep the whole batch's shape, and so do the masks."""
+    holds each layer's input, z, pooled z and dropout mask; eval drops it. A
+    given z0 (B, G, T1) stands in for the front end's pre-activation, bias
+    included. Given rows, the conv layers run on x[rows] alone, and the dense
+    head on every row with zero features elsewhere: its backward products,
+    which BLAS rounds by batch shape, keep the whole batch's shape, and so do
+    the masks."""
     p = _params_as(stage, x.dtype)
     convs = _conv_layers(p, cfg)
     keep = slice(None) if rows is None else rows
-    layers = [] if keep_cache else None
+    layers = []
     h = x[keep]
     for i, (w, b) in enumerate(convs):
         z = z0 if i == 0 and z0 is not None else _lag_conv(w, h) + b[None, :, None]
-        if layers is None:
-            zp = _maxpool_values(z, cfg.pool_len)
-        else:
-            zp, idx, orig = _maxpool(z, cfg.pool_len)
+        zp = _maxpool(z, cfg.pool_len)
         a = _elu(zp)
         mask = _dropout_mask(cfg, (len(x), *a.shape[1:]), x.dtype, rng)
         if mask is not None:
             mask = mask[keep]
             a *= mask
-        if layers is not None:
-            layers.append((h, zp, idx, orig, mask))
+        layers.append((h, z, zp, mask))
         h = a
 
     flat = np.zeros((len(x), cfg.feature_len()), x.dtype)
@@ -487,11 +475,8 @@ def _stage_forward(
     if mask is not None:
         hid = hid * mask
     logits = _rowwise_matmul(hid, p["w_out"]) + p["b_out"]
-    if layers is None:
-        return logits, None
-    cache = {"params": p, "convs": convs, "layers": layers, "flat": flat,
-             "d1": d1, "hid": hid, "dense_mask": mask, "rows": keep}
-    return logits, cache
+    return logits, {"params": p, "convs": convs, "layers": layers, "flat": flat,
+                    "d1": d1, "hid": hid, "dense_mask": mask, "rows": keep}
 
 
 def _stage_backward(
@@ -515,13 +500,13 @@ def _stage_backward(
     grads["b_dense"] = dd1.sum(axis=0)
     layers = cache["layers"]
     # The last layer's pooled z has its output's shape.
-    dh = (dd1 @ p["w_dense"].T)[cache["rows"]].reshape(layers[-1][1].shape)
+    dh = (dd1 @ p["w_dense"].T)[cache["rows"]].reshape(layers[-1][2].shape)
 
     for i in reversed(range(len(layers))):
-        h_in, zp, idx, orig, mask = layers[i]
+        h_in, z, zp, mask = layers[i]
         if mask is not None:
             dh = dh * mask
-        dz = _maxpool_backward(dh * _elu_grad(zp), idx, cfg.pool_len, orig)
+        dz = _maxpool_backward(dh * _elu_grad(zp), z, zp, cfg.pool_len)
         dw = _lag_conv_weight_grad(dz, h_in)
         db = dz.sum(axis=(0, 2))
         if i > 0:
@@ -597,8 +582,8 @@ def backward(
     b = x.shape[0]
     is_target = labels > 0
     rows = np.flatnonzero(is_target)
-    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng, keep_cache=True)
-    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, keep_cache=True, rows=rows)
+    la, cache_a = _stage_forward(model.stage_a, cfg, x, rng)
+    lb, cache_b = _stage_forward(model.stage_b, cfg, x, rng, rows=rows)
     pa, pb = _softmax2(la), _softmax2(lb)
     losses = cross_entropy(compose_probs(pa, pb), labels)
 
@@ -777,4 +762,5 @@ def load_model(source: BinaryIO) -> HierarchicalModel:
             if not np.isfinite(params[name]).all():
                 raise FormatError(f"non-finite value in {stage_name}.{name}")
         stages.append(StageNet(params))
+    read_end(source, "parameters")
     return HierarchicalModel(stages[0], stages[1], cfg)

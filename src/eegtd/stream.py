@@ -36,7 +36,7 @@ from typing import Callable, Union
 import numpy as np
 
 from eegtd.core import (
-    KIND_TO_CSV, ClassId, EventSchedule, FormatError, Recording, pack_names, read_names,
+    KIND_TO_CSV, ClassId, EventSchedule, FormatError, Recording, pack_names, read_end, read_names,
 )
 from eegtd.dataset import check_same_length
 from eegtd.metrics import Detection
@@ -151,10 +151,9 @@ def _decode_start(payload: bytes) -> StartMessage:
     body = io.BytesIO(payload[12:])
     try:
         names = read_names(body, n_channels)
+        read_end(body, "channel names")
     except FormatError as exc:
         raise ProtocolError(f"Start payload: {exc}") from None
-    if body.read(1):
-        raise ProtocolError("Start payload has trailing bytes")
     if not rate > 0 or not math.isfinite(rate):
         raise ProtocolError(f"invalid sampling rate {rate}")
     return StartMessage(rate, tuple(names))

@@ -258,6 +258,25 @@ class TestConfigFile:
         )
         assert code == 1
 
+    def test_config_value_satisfies_a_required_flag(self, small_session, capsys):
+        tmp, prefix, _ = small_session
+        cfg = tmp / "erp.conf"
+        cfg.write_text(f"recording={prefix}.eegr\nschedule={prefix}.schedule.csv\n")
+        out = tmp / "erp-from-config.csv"
+        code, _ = run_cli(["analyze-erp", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_text().startswith("class,channel,time_s,value_uv")
+
+    def test_config_value_outside_choices_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "conf"
+        cfg.write_text("log-level=verbose\n")
+        code = main(["generate", "--config", str(cfg), "--profile", "video1",
+                     "--out-prefix", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: config key log_level: 'verbose'")
+
 
 @pytest.fixture(scope="module")
 def small_session(tmp_path_factory):

@@ -128,6 +128,18 @@ class TestEegrFormat:
         with pytest.raises(FormatError, match="truncated"):
             read_recording(io.BytesIO(data[:-5]))
 
+    def test_trailing_bytes_rejected(self):
+        buf = io.BytesIO()
+        write_recording(small_recording(), buf)
+        data = buf.getvalue()
+        with pytest.raises(FormatError, match="trailing"):
+            read_recording(io.BytesIO(data + bytes(1000)))
+        # A header that under-declares n_samples leaves payload behind.
+        (n_samples,) = struct.unpack_from("<Q", data, 20)
+        short = data[:20] + struct.pack("<Q", n_samples - 1) + data[28:]
+        with pytest.raises(FormatError, match="trailing"):
+            read_recording(io.BytesIO(short))
+
     def test_version_mismatch(self):
         buf = io.BytesIO()
         write_recording(small_recording(), buf)

@@ -45,7 +45,6 @@ from eegtd.model import (
     _lag_conv_input_grad,
     _maxpool,
     _maxpool_backward,
-    _maxpool_values,
     _softmax2,
     _stage_backward,
     _stage_forward,
@@ -375,6 +374,25 @@ def reference_conv_grads(dz, x, w):
     return dw, dx
 
 
+def argmax_pool(a, p):
+    """Max pool along the last axis by argmax, the reference for `_maxpool`:
+    (values, each pool's first maximum's index); remainder samples drop."""
+    n = a.shape[-1] // p
+    pools = a[..., : n * p].reshape(*a.shape[:-1], n, p)
+    idx = pools.argmax(axis=-1)
+    return np.take_along_axis(pools, idx[..., None], axis=-1)[..., 0], idx
+
+
+def argmax_unpool(dout, idx, p, length):
+    """dout put at each pool's index idx of a zero array of last axis
+    `length`: the reference for `_maxpool_backward`."""
+    n = dout.shape[-1]
+    grad = np.zeros((*dout.shape[:-1], length), dout.dtype)
+    pools = grad[..., : n * p].reshape(*dout.shape[:-1], n, p)
+    np.put_along_axis(pools, idx[..., None], dout[..., None], axis=-1)
+    return grad
+
+
 def reference_stage(p, cfg, x, dlogits_of, rng=None):
     """One stage, forward then backward, with every convolution by
     reference_conv: (logits, parameter grads, input grad). dlogits_of maps
@@ -393,9 +411,9 @@ def reference_stage(p, cfg, x, dlogits_of, rng=None):
     h = x
     for w, b in convs:
         z = reference_conv(w, h) + b[None, :, None]
-        pooled, idx, orig = _maxpool(_elu(z), cfg.pool_len)
+        pooled, idx = argmax_pool(_elu(z), cfg.pool_len)
         m = mask(pooled.shape)
-        layers.append((h, z, idx, orig, m))
+        layers.append((h, z, idx, m))
         h = pooled * m
     flat = h.reshape(len(x), -1)
     d1 = flat @ p["w_dense"] + p["b_dense"]
@@ -409,8 +427,8 @@ def reference_stage(p, cfg, x, dlogits_of, rng=None):
     g["w_dense"], g["b_dense"] = flat.T @ dd1, dd1.sum(axis=0)
     dh = (dd1 @ p["w_dense"].T).reshape(h.shape)
     for i in reversed(range(len(convs))):
-        h_in, z, idx, orig, m = layers[i]
-        dz = _maxpool_backward(dh * m, idx, cfg.pool_len, orig) * _elu_grad(z)
+        h_in, z, idx, m = layers[i]
+        dz = argmax_unpool(dh * m, idx, cfg.pool_len, z.shape[-1]) * _elu_grad(z)
         dw, dh = reference_conv_grads(dz, h_in, convs[i][0])
         if i == 0:
             g["b_spat"] = dz.sum(axis=(0, 2))
@@ -526,8 +544,8 @@ class TestStageBTargetRows:
 
         ref_rng = np.random.default_rng(5) if dropout else None
         target = labels > 0
-        la, cache_a = _stage_forward(model.stage_a, cfg, x, ref_rng, keep_cache=True)
-        lb, cache_b = _stage_forward(model.stage_b, cfg, x, ref_rng, keep_cache=True)
+        la, cache_a = _stage_forward(model.stage_a, cfg, x, ref_rng)
+        lb, cache_b = _stage_forward(model.stage_b, cfg, x, ref_rng)
         pa, pb = _softmax2(la), _softmax2(lb)
         dla = (pa - np.eye(2)[target.astype(int)]) / b
         dlb = np.where(target[:, None], pb - np.eye(2)[np.maximum(labels - 1, 0)], 0.0) / b
@@ -566,20 +584,50 @@ def whole_batch_lag_conv_input_grad(w, dz):
     return dx
 
 
+def tie_heavy(shape, seed):
+    """Integers in [-2, 2] with random signs, so pools tie often and zeros
+    come as both 0.0 and -0.0. Row [0, 0] is all 2.0; rows [0, 1] and [0, 2]
+    alternate 0.0 and -0.0, one starting with each."""
+    rng = np.random.default_rng(seed)
+    a = np.copysign(rng.integers(-2, 3, size=shape), rng.choice([-1.0, 1.0], size=shape))
+    a[0, 0] = 2.0
+    a[0, 1] = np.where(np.arange(shape[-1]) % 2, -0.0, 0.0)
+    a[0, 2] = -a[0, 1]
+    return a
+
+
 class TestKernels:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("length", [9, 10, 11])
     def test_maxpool_values_equal_maxpool(self, p, length):
-        # Lengths 10 and 11 leave a remainder to drop at p=3.
-        rng = np.random.default_rng(length)
-        a = rng.integers(-3, 4, size=(4, 5, length)).astype(np.float64)  # many ties
-        a[0, 0, :] = 2.0
-        values, _, _ = _maxpool(a, p)
-        assert np.array_equal(_maxpool_values(a, p), values)
+        # Against the argmax oracle, zero signs included; lengths 10 and 11
+        # leave a remainder to drop at p=3.
+        for dtype in (np.float64, np.float32):
+            a = tie_heavy((4, 5, length), length).astype(dtype)
+            ref, _ = argmax_pool(a, p)
+            got = _maxpool(a, p)
+            assert got.dtype == dtype
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("length", [9, 10, 11])
+    def test_maxpool_backward_routes_to_first_maximum(self, p, length):
+        # Ties, ±0.0 among them, go to the first maximum, as argmax picks;
+        # the dropped remainder gets 0.
+        for dtype in (np.float64, np.float32):
+            a = tie_heavy((4, 5, length), length + 100).astype(dtype)
+            zp = _maxpool(a, p)
+            dout = np.arange(1, zp.size + 1, dtype=dtype).reshape(zp.shape)
+            got = _maxpool_backward(dout, a, zp, p)
+            ref = argmax_unpool(dout, argmax_pool(a, p)[1], p, length)
+            assert got.dtype == dtype
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_maxpool_values_ignore_the_remainder(self):
         a = np.array([[1.0, 3.0, 2.0, 0.0, -1.0, -2.0, 9.0]])
-        assert np.array_equal(_maxpool_values(a, 3), [[3.0, 0.0]])
+        assert np.array_equal(_maxpool(a, 3), [[3.0, 0.0]])
 
     def test_elu_equals_where_form(self):
         z = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, -40.0, -800.0,
@@ -606,39 +654,6 @@ class TestKernels:
                 got, expected = kernel(w, a), reference(w, a)
                 assert got.dtype == expected.dtype == dtype
                 assert np.array_equal(got, expected), (kernel.__name__, b)
-
-
-class TestEvalPath:
-    @pytest.mark.parametrize("b", [1, 104, 256])
-    def test_cache_free_forward_equals_cached_bit_for_bit(self, b):
-        # Weights 4x the init scale saturate many ELUs and make the output
-        # feel the last bits.
-        model = init_model(NetConfig(), seed=6)
-        for stage in (model.stage_a, model.stage_b):
-            for value in stage.params.values():
-                value *= 4.0
-        x = standardize(np.random.default_rng(b).standard_normal((b, 32, 250)))
-        for stage in (model.stage_a, model.stage_b):
-            logits, cache = _stage_forward(stage, model.config, x)
-            assert cache is None
-            cached, _ = _stage_forward(stage, model.config, x, keep_cache=True)
-            assert np.array_equal(logits, cached)
-
-    def test_predict_batch_builds_no_cache(self, monkeypatch):
-        calls = []
-
-        def counting(a, p):
-            calls.append(a.shape)
-            return _maxpool(a, p)
-
-        monkeypatch.setattr("eegtd.model._maxpool", counting)
-        model = init_model(TINY, seed=3)
-        x = standardize(np.random.default_rng(0).standard_normal((5, 3, 20)))
-        predict_batch(model, x)
-        forward(model, x)
-        assert calls == []
-        backward(model, x, np.array([0, 1, 2, 1, 0]))
-        assert calls  # the training path does pool with indices
 
 
 def make_toy_epochs(n_per_class=40, seed=0):
@@ -927,6 +942,12 @@ class TestSerialization:
         data = buf.getvalue()[:-9]
         with pytest.raises(FormatError, match="truncated"):
             load_model(io.BytesIO(data))
+
+    def test_trailing_bytes_rejected(self, tiny_model):
+        buf = io.BytesIO()
+        save_model(tiny_model, buf)
+        with pytest.raises(FormatError, match="trailing"):
+            load_model(io.BytesIO(buf.getvalue() + bytes(1000)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("stage, name", [("stage_a", "w_time"), ("stage_b", "b_out")])
