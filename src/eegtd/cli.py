@@ -28,6 +28,7 @@ from eegtd.core import (
     load_schedule,
     save_recording,
     save_schedule,
+    text_format_errors,
 )
 from eegtd.dataset import DatasetConfig, build_dataset, build_eval_dataset
 from eegtd.experiment import render_session
@@ -79,7 +80,9 @@ def _setup_logging(level: str) -> None:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    with text_format_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import BinaryIO, Sequence, TextIO
+from typing import BinaryIO, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -41,6 +42,15 @@ READ_CHUNK = 1 << 20
 
 class FormatError(ValueError):
     """Serialized bytes or CSV rows violate a file format."""
+
+
+@contextmanager
+def text_format_errors(what: str) -> Iterator[None]:
+    """Raise a text input's csv.Error or UnicodeDecodeError as FormatError."""
+    try:
+        yield
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 class ClassId(IntEnum):
@@ -298,6 +308,7 @@ def write_schedule(schedule: EventSchedule, destination: TextIO) -> None:
         destination.write(f"{dyn.onset},{KIND_TO_CSV[dyn.kind]},{dyn.duration}\n")
 
 
+@text_format_errors("schedule CSV")
 def read_schedule(source: TextIO) -> EventSchedule:
     """Parse a schedule CSV; its metadata comment supplies total_samples and
     sampling_rate. Every malformed input raises FormatError."""

@@ -18,7 +18,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from eegtd.core import ClassId, EventSchedule, FormatError
+from eegtd.core import ClassId, EventSchedule, FormatError, text_format_errors
 
 DEFAULT_MATCH_TOLERANCE = 375  # samples: 1.5 s at 250 Hz
 
@@ -45,9 +45,6 @@ class ConfusionMatrix:
 
     def add(self, true_class: int, predicted_class: int, n: int = 1) -> None:
         self.counts[int(true_class), int(predicted_class)] += n
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConfusionMatrix):
@@ -172,6 +169,7 @@ def write_detections_csv(detections: Iterable[Detection], destination: TextIO) -
         destination.write(f"{det.time},{int(det.class_id)},{det.confidence!r}\n")
 
 
+@text_format_errors("detections CSV")
 def read_detections_csv(source: TextIO) -> list[Detection]:
     reader = csv.reader(source)
     header = next(reader, None)

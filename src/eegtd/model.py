@@ -10,12 +10,12 @@ The temporal and spatial convolutions compose linearly, so they fuse into
 one kernel and every conv layer, front end and blocks alike, runs one body:
 convolution plus bias, max-pool, ELU, dropout. ELU is monotonic, so pooling
 first gives the same values as pooling its output, on a third of the samples.
-Dropout masks are drawn from the rng passed in, in forward order: stage A's
-front end, each block and dense hidden layer, then stage B's in the same
-order, always at the whole batch's shape. A non-target row's loss, -log a0,
-gives stage B no gradient, so a training step runs stage B's conv layers on
-the target rows alone. Training and eval run one pass, each pool a running
-maximum; eval drops the backward cache it returns.
+Dropout runs only in training: `backward(..., rng)` draws its masks from the
+rng in forward order (stage A's front end, each block and dense hidden layer,
+then stage B's), always at the whole batch's shape. A non-target row's loss,
+-log a0, gives stage B no gradient, so a training step runs stage B's conv
+layers on the target rows alone. Training and eval run one pass, each pool a
+running maximum; eval drops the backward cache it returns.
 
 Each conv layer is a sum over its K lags of per-row matrix products. The sum
 runs one L2-sized row chunk at a time (CONV_CHUNK_BYTES of output), all K lags
@@ -29,8 +29,9 @@ channel's share: the zeroed copy's labels, unless two classes tie to the
 input dtype's rounding (~1e-15 in float64, ~1e-7 in float32).
 
 The model's API takes batches of standardized windows (B, C, T); one window
-is a 1-row batch. `forward` gives the composed probabilities (B, 3),
-`cross_entropy` each row's loss, and `backward` the gradients of their mean.
+is a 1-row batch. `forward` is the eval pass, without dropout, and gives
+the composed probabilities (B, 3); `cross_entropy` gives each row's loss, and
+`backward` the gradients of their mean.
 `cut_windows` cuts windows from a `core.Windows` set in analysis and from the
 online engine's buffer. Training never stacks its set: it computes each
 window's per-channel mean and std once and cuts each batch from the samples
@@ -95,11 +96,6 @@ _loss_clamp_count = 0
 def loss_clamp_count() -> int:
     """How many times a zero class probability was clamped in `cross_entropy`."""
     return _loss_clamp_count
-
-
-def reset_loss_clamp_count() -> None:
-    global _loss_clamp_count
-    _loss_clamp_count = 0
 
 
 @dataclass(frozen=True)
@@ -529,17 +525,13 @@ def _check_input(cfg: NetConfig, x: np.ndarray) -> None:
         raise ValueError(f"input dtype {x.dtype} is not float32 or float64")
 
 
-def forward(
-    model: HierarchicalModel,
-    x: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Composed 3-class probabilities (B, 3) of standardized windows
-    (B, C, T); passing an rng draws dropout masks from it (training mode)."""
+def forward(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
+    """Eval-mode composed 3-class probabilities (B, 3) of standardized
+    windows (B, C, T), without dropout."""
     cfg = model.config
     _check_input(cfg, x)
-    la, _ = _stage_forward(model.stage_a, cfg, x, rng)
-    lb, _ = _stage_forward(model.stage_b, cfg, x, rng)
+    la, _ = _stage_forward(model.stage_a, cfg, x)
+    lb, _ = _stage_forward(model.stage_b, cfg, x)
     return compose_probs(_softmax2(la), _softmax2(lb))
 
 

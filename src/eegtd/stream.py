@@ -540,7 +540,7 @@ class Debouncer:
             confidence = float(np.mean([pt for _, _, pt in self._run]))
             self._run.clear()
             self._refractory_until = now + self.cfg.refractory
-            return Detection(now, class_id, min(confidence, 1.0))
+            return Detection(now, class_id, confidence)
         return None
 
 

@@ -160,11 +160,6 @@ def make_schedule(profile: StimulusProfile, seed: int) -> EventSchedule:
     start = int(round(START_MARGIN_S * rate))
     end_limit = total - int(round(END_MARGIN_S * rate))
     slack = (end_limit - start) - (n_events - 1) * sep
-    if slack < 0:
-        raise SynthError(
-            f"cannot place {n_events} events with {MIN_SEPARATION_S}s separation "
-            f"in profile {profile.name!r}"
-        )
     rng = np.random.default_rng(seed)
     offsets = np.sort(rng.uniform(0.0, slack, size=n_events)).astype(np.int64)
     onsets = start + offsets + np.arange(n_events, dtype=np.int64) * sep

@@ -18,7 +18,7 @@ from eegtd.cli import (
     build_parser, main,
 )
 from eegtd.core import (
-    ClassId, Event, EventSchedule, Recording, load_recording, load_schedule,
+    ClassId, Event, EventSchedule, FormatError, Recording, load_recording, load_schedule,
     save_recording, save_schedule,
 )
 from eegtd.dataset import DatasetConfig
@@ -140,6 +140,16 @@ class TestEvaluate:
         assert captured.err.count("error:") == 1
         assert "error: beta must be finite and positive" in captured.err
         assert "nan" not in captured.out
+
+    def test_oversized_detections_field_is_one_line(self, fixture_files, tmp_path, capsys):
+        _, sched = fixture_files
+        det = tmp_path / "big.csv"
+        det.write_text("time,class,confidence\n1100,1,0." + "9" * 131_073 + "\n")
+        code = main(["evaluate", "--detections", str(det), "--schedule", sched])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: detections CSV: ")
 
 
 class TestSelftest:
@@ -266,6 +276,13 @@ class TestConfigFile:
         code, _ = run_cli(["analyze-erp", "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 0
         assert out.read_text().startswith("class,channel,time_s,value_uv")
+
+    def test_non_utf8_config_is_format_error(self, tmp_path):
+        cfg = tmp_path / "conf"
+        cfg.write_bytes(b"seed=3\nprofile=vid\xe9o1\n")
+        with pytest.raises(FormatError) as info:
+            _apply_config_defaults(build_parser(), ["generate", "--config", str(cfg)])
+        assert str(info.value).startswith(f"{cfg}: 'utf-8' codec can't decode")
 
     def test_config_value_outside_choices_is_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "conf"

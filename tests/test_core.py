@@ -320,6 +320,18 @@ class TestScheduleCsv:
         with pytest.raises(FormatError, match="metadata"):
             read_schedule(io.StringIO("onset,class,duration\n1000,1,250\n"))
 
+    @pytest.mark.parametrize("raw", [
+        b"# total_samples=75000 sampling_rate=250.0\nonset,class,duration\n1000,1,"
+        + b"2" * 131_073 + b"\n",
+        b"# total_samples=75000 sampling_rate=250.0\nonset,class,duration\n1000,1,250\xff\n",
+        b"\xff# total_samples=75000 sampling_rate=250.0\n",
+    ], ids=["field-over-csv-limit", "non-utf8-row", "non-utf8-metadata"])
+    def test_text_errors_are_format_errors(self, raw):
+        # The csv module raises csv.Error for a field over its size limit,
+        # and the decoder UnicodeDecodeError; both must surface as FormatError.
+        with pytest.raises(FormatError, match="schedule CSV"):
+            read_schedule(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+
     @pytest.mark.parametrize(
         "meta, row, message",
         [

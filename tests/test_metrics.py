@@ -187,7 +187,7 @@ class TestMatchDetections:
             [Detection(1100, ClassId.TRUE_TARGET, 0.9)], one_event_schedule()
         )
         assert cm.counts[1, 1] == 1
-        assert cm.total() == 1
+        assert int(cm.counts.sum()) == 1
         assert pairs == [(0, 0)]
 
     def test_outside_tolerance(self):
@@ -264,7 +264,7 @@ class TestMatchDetections:
         )
         dets = [Detection(t, ClassId.TRUE_TARGET, 0.5) for t in sorted(times)]
         cm, pairs = match_detections(dets, schedule, tolerance=375)
-        assert cm.total() == len(onsets) + (len(dets) - len(pairs))
+        assert int(cm.counts.sum()) == len(onsets) + (len(dets) - len(pairs))
         assert len(pairs) == self._max_matching(
             [d.time for d in dets], onsets, 375
         )
@@ -293,3 +293,13 @@ class TestDetectionsCsv:
         text = f"time,class,confidence\n100,1,0.5\n{row}\n"
         with pytest.raises(FormatError, match="row 2 has"):
             read_detections_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("raw", [
+        b"time,class,confidence\n100,1,0." + b"5" * 131_073 + b"\n",
+        b"time,class,confidence\n100,1,0.5\xff\n",
+    ], ids=["field-over-csv-limit", "non-utf8-row"])
+    def test_text_errors_are_format_errors(self, raw):
+        from eegtd.core import FormatError
+
+        with pytest.raises(FormatError, match="detections CSV"):
+            read_detections_csv(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))

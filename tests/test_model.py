@@ -34,7 +34,6 @@ from eegtd.model import (
     param_shapes,
     predict_batch,
     predict_occluded,
-    reset_loss_clamp_count,
     save_model,
     standardize,
     train,
@@ -117,11 +116,10 @@ class TestLoss:
         assert cross_entropy(np.array([[0.0, 1.0, 0.0]]), np.array([1]))[0] == 0.0
 
     def test_zero_probability_clamped_with_warning(self):
-        reset_loss_clamp_count()
+        before = loss_clamp_count()
         value = cross_entropy(np.array([[1.0, 0.0, 0.0]]), np.array([1]))[0]
         assert value == pytest.approx(-np.log(1e-12))
-        assert loss_clamp_count() == 1
-        reset_loss_clamp_count()
+        assert loss_clamp_count() - before == 1
 
 
 class TestLabelValidation:
@@ -914,11 +912,18 @@ class TestDropout:
                       dropout_rate=0.4, dense_hidden=4),
             seed=11,
         )
-        a = forward(model, tiny_input, rng=np.random.default_rng(5))
-        b = forward(model, tiny_input, rng=np.random.default_rng(5))
-        assert np.array_equal(a, b)
+        labels = np.array([1])
+
+        def step(rng=None):
+            grads, loss, _ = backward(model, tiny_input, labels, rng)
+            return loss, np.concatenate([g.ravel() for s in grads.values() for g in s.values()])
+
+        loss_a, grads_a = step(np.random.default_rng(5))
+        loss_b, grads_b = step(np.random.default_rng(5))
+        assert loss_a == loss_b and np.array_equal(grads_a, grads_b)
         # passing an rng is what switches dropout on
-        assert not np.allclose(a, forward(model, tiny_input))
+        loss_c, grads_c = step()
+        assert loss_c != loss_a and not np.allclose(grads_a, grads_c)
 
 
 class TestSerialization:

@@ -688,6 +688,16 @@ class TestOnlineEngine:
         assert second.confidence == pytest.approx(np.mean(p_target), rel=1e-12)
         assert second.confidence != pytest.approx(p_target[-1], rel=1e-3)
 
+    @pytest.mark.parametrize("run", [9, 16, 129, 300])
+    def test_certain_run_emits_confidence_exactly_one(self, run):
+        # The mean of p_target = 1 - 0.0 over a run of more than 8 rows goes
+        # through numpy's pairwise sum; rounding is monotone, so it stays at
+        # exactly 1.0, the largest confidence a Detection accepts.
+        cfg = OnlineConfig(trigger_threshold=0.5, consecutive_required=run, refractory=1)
+        rows = [(250 + 25 * i, np.array([0.0, 0.6, 0.4])) for i in range(run)]
+        (det,) = debounce(rows, cfg)
+        assert det.confidence == 1.0
+
     def test_online_infer_helper(self):
         assert len(debounce(flag_rows(2500, [(1000, 1250)]), self.CFG)) == 1
 

@@ -126,6 +126,21 @@ class TestMakeSchedule:
         assert gaps.min() >= 750
         assert all(ev.duration == 250 for ev in sched.targets)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_tightest_profile_places_every_target(self, n, seed):
+        # The profile check alone keeps make_schedule's slack non-negative:
+        # the shortest length it accepts leaves 1 s (250 samples) of slack.
+        length_s = 7.0 + 3.0 * (2 * n - 1)
+        sched = make_schedule(StimulusProfile("tight", length_s, events_per_class=n), seed)
+        onsets = np.array([ev.onset for ev in sched.targets])
+        assert len(onsets) == 2 * n
+        assert onsets.min() >= synth.START_MARGIN_S * SAMPLING_RATE
+        assert onsets.max() <= sched.total_samples - synth.END_MARGIN_S * SAMPLING_RATE
+        assert np.all(np.diff(onsets) >= synth.MIN_SEPARATION_S * SAMPLING_RATE)
+        with pytest.raises(ValueError, match="do not fit"):
+            StimulusProfile("tight", length_s - 1.0, events_per_class=n)
+
     def test_deterministic(self):
         a = make_schedule(profile_by_name("video1"), seed=5)
         b = make_schedule(profile_by_name("video1"), seed=5)
